@@ -54,7 +54,10 @@ each span close is re-emitted live as a ``trace.span`` event.
 Exports: :func:`write_otlp_trace` (OTLP-JSON, one resourceSpans
 envelope) and :func:`write_perfetto_trace` (Perfetto protobuf-JSON
 TracePackets, machine-lane slices) complement the existing Chrome
-trace; :func:`critical_path_from_spans` re-derives the PR 5 makespan
+trace. Both stream compact single-line JSON through the C encoder
+into an atomically replaced file; :func:`to_otlp_json` and
+:func:`to_perfetto_json` are the materialised documents they encode.
+:func:`critical_path_from_spans` re-derives the PR 5 makespan
 attribution purely from spans and their causal links, which
 ``repro-report analyze`` cross-checks against
 :func:`~repro.observe.analysis.attribute_makespan`.
@@ -65,12 +68,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
+from repro.util.iolib import atomic_open
 
 __all__ = [
     "Span",
@@ -755,6 +760,43 @@ def critical_path_from_spans(spans: Sequence[Span]) -> SpanCriticalPath:
     )
 
 
+# -- streamed JSON documents ------------------------------------------
+
+#: Items per C-encoder call: enough that the per-call overhead is
+#: small, few enough that a chunk's dicts are freed before the cyclic
+#: GC's young generation fills and promotes them (chunks of 1024 made
+#: the OTLP export measurably slower).
+_CHUNK = 64
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+#: Stands in for the streamed item list while the envelope is encoded.
+_ITEMS = "\x00items"
+
+
+def _write_json_stream(
+    path: str | Path, envelope: Mapping[str, object], items: Iterable[object]
+) -> Path:
+    """Atomically write ``envelope`` with its ``_ITEMS`` value (the last
+    value in document order) replaced by the list of ``items``.
+
+    The bytes equal ``json.dumps(document, separators=(",", ":"))``
+    plus ``"\n"``, but only one chunk of items is ever held as text,
+    and every chunk goes through the C encoder.
+    """
+    head, _, tail = _COMPACT.encode(envelope).rpartition(
+        _COMPACT.encode(_ITEMS)
+    )
+    out = Path(path)
+    it = iter(items)
+    with atomic_open(out) as fh:
+        fh.write(head + "[")
+        sep = ""
+        while chunk := list(islice(it, _CHUNK)):
+            fh.write(sep + _COMPACT.encode(chunk)[1:-1])
+            sep = ","
+        fh.write("]" + tail + "\n")
+    return out
+
+
 # -- OTLP-JSON export -------------------------------------------------
 
 _OTLP_STATUS = {
@@ -778,15 +820,8 @@ def _otlp_attrs(attrs: Mapping[str, object]) -> list[dict[str, object]]:
     return [{"key": k, "value": _otlp_value(v)} for k, v in attrs.items()]
 
 
-def to_otlp_json(
-    spans: Sequence[Span],
-    *,
-    service_name: str = "repro",
-    resource_attributes: Mapping[str, object] | None = None,
-) -> dict[str, object]:
-    """Render spans as one OTLP-JSON ``ExportTraceServiceRequest``
-    (the ``resourceSpans`` envelope any OTLP/HTTP collector accepts)."""
-    rendered: list[dict[str, object]] = []
+def _otlp_spans(spans: Iterable[Span]) -> Iterator[dict[str, object]]:
+    """One OTLP-JSON span object per span, in input order."""
     for s in spans:
         end = s.end if s.end is not None else s.start
         entry: dict[str, object] = {
@@ -812,7 +847,14 @@ def to_otlp_json(
                 }
                 for link in s.links
             ]
-        rendered.append(entry)
+        yield entry
+
+
+def _otlp_envelope(
+    spans: object,
+    service_name: str,
+    resource_attributes: Mapping[str, object] | None,
+) -> dict[str, object]:
     resource: dict[str, object] = {"service.name": service_name}
     if resource_attributes:
         resource.update(resource_attributes)
@@ -826,7 +868,7 @@ def to_otlp_json(
                             "name": "repro.observe.trace",
                             "version": "1",
                         },
-                        "spans": rendered,
+                        "spans": spans,
                     }
                 ],
             }
@@ -834,15 +876,33 @@ def to_otlp_json(
     }
 
 
-def write_otlp_trace(
-    path: str | Path, spans: Sequence[Span], **kwargs: object
-) -> Path:
-    """Write :func:`to_otlp_json` output to ``path`` and return it."""
-    out = Path(path)
-    out.write_text(
-        json.dumps(to_otlp_json(spans, **kwargs), indent=1) + "\n"  # type: ignore[arg-type]
+def to_otlp_json(
+    spans: Iterable[Span],
+    *,
+    service_name: str = "repro",
+    resource_attributes: Mapping[str, object] | None = None,
+) -> dict[str, object]:
+    """Render spans as one OTLP-JSON ``ExportTraceServiceRequest``
+    (the ``resourceSpans`` envelope any OTLP/HTTP collector accepts)."""
+    return _otlp_envelope(
+        list(_otlp_spans(spans)), service_name, resource_attributes
     )
-    return out
+
+
+def write_otlp_trace(
+    path: str | Path,
+    spans: Iterable[Span],
+    *,
+    service_name: str = "repro",
+    resource_attributes: Mapping[str, object] | None = None,
+) -> Path:
+    """Stream :func:`to_otlp_json` output to ``path`` as compact,
+    single-line JSON, atomically, and return the path."""
+    return _write_json_stream(
+        path,
+        _otlp_envelope(_ITEMS, service_name, resource_attributes),
+        _otlp_spans(spans),
+    )
 
 
 # -- Perfetto protobuf-JSON export -----------------------------------
@@ -874,20 +934,9 @@ def _perfetto_track(span: Span) -> str | None:
     return None
 
 
-def to_perfetto_json(spans: Sequence[Span]) -> dict[str, object]:
-    """Render spans as Perfetto protobuf-JSON ``TracePacket`` list
-    (``traceconv`` / ui.perfetto.dev accept this shape directly)."""
-    packets: list[dict[str, object]] = []
+def _perfetto_packets(spans: Sequence[Span]) -> Iterator[dict[str, object]]:
+    """Track descriptors in first-use order, then the slice packets."""
     track_uuids: dict[str, int] = {}
-
-    def track(name: str) -> int:
-        uuid = track_uuids.get(name)
-        if uuid is None:
-            uuid = len(track_uuids) + 1
-            track_uuids[name] = uuid
-            packets.append({"trackDescriptor": {"uuid": uuid, "name": name}})
-        return uuid
-
     by_id = {s.span_id: s for s in spans}
 
     def depth(span: Span) -> int:
@@ -910,41 +959,45 @@ def to_perfetto_json(spans: Sequence[Span]) -> dict[str, object]:
         lane = _perfetto_track(s)
         if lane is None:
             continue
-        uuid = track(lane)
+        uuid = track_uuids.setdefault(lane, len(track_uuids) + 1)
         d = depth(s)
         slices.append((s.start, 1, d, uuid, s))
         slices.append((s.end, 0, -d, uuid, s))
+    for name, uuid in track_uuids.items():
+        yield {"trackDescriptor": {"uuid": uuid, "name": name}}
     slices.sort(key=lambda item: (item[0], item[1], item[2]))
     for ts, begin, _, uuid, s in slices:
         ns = int(round(ts * 1e9))
         if begin:
-            packets.append(
-                {
-                    "timestamp": ns,
-                    "trustedPacketSequenceId": 1,
-                    "trackEvent": {
-                        "type": "TYPE_SLICE_BEGIN",
-                        "trackUuid": uuid,
-                        "name": s.name,
-                    },
-                }
-            )
+            yield {
+                "timestamp": ns,
+                "trustedPacketSequenceId": 1,
+                "trackEvent": {
+                    "type": "TYPE_SLICE_BEGIN",
+                    "trackUuid": uuid,
+                    "name": s.name,
+                },
+            }
         else:
-            packets.append(
-                {
-                    "timestamp": ns,
-                    "trustedPacketSequenceId": 1,
-                    "trackEvent": {
-                        "type": "TYPE_SLICE_END",
-                        "trackUuid": uuid,
-                    },
-                }
-            )
-    return {"packet": packets}
+            yield {
+                "timestamp": ns,
+                "trustedPacketSequenceId": 1,
+                "trackEvent": {
+                    "type": "TYPE_SLICE_END",
+                    "trackUuid": uuid,
+                },
+            }
+
+
+def to_perfetto_json(spans: Sequence[Span]) -> dict[str, object]:
+    """Render spans as Perfetto protobuf-JSON ``TracePacket`` list
+    (``traceconv`` / ui.perfetto.dev accept this shape directly)."""
+    return {"packet": list(_perfetto_packets(spans))}
 
 
 def write_perfetto_trace(path: str | Path, spans: Sequence[Span]) -> Path:
-    """Write :func:`to_perfetto_json` output to ``path`` and return it."""
-    out = Path(path)
-    out.write_text(json.dumps(to_perfetto_json(spans), indent=1) + "\n")
-    return out
+    """Stream :func:`to_perfetto_json` output to ``path`` as compact,
+    single-line JSON, atomically, and return the path."""
+    return _write_json_stream(
+        path, {"packet": _ITEMS}, _perfetto_packets(spans)
+    )

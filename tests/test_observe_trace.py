@@ -11,6 +11,7 @@ journal round-trip that lets a resumed run extend its pre-crash trace.
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.workflow_factory import simulate_paper_run
@@ -25,6 +26,8 @@ from repro.observe import (
     QueueWaitDetector,
     RunEvent,
     SloBurnDetector,
+    Span,
+    SpanLink,
     SpanTracer,
     StatusView,
     StragglerDetector,
@@ -37,6 +40,7 @@ from repro.observe import (
     write_otlp_trace,
     write_perfetto_trace,
 )
+from repro.observe import trace as trace_mod
 from repro.observe.analysis import attribute_makespan
 from repro.resilience.journal import Journal, recover
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
@@ -383,6 +387,134 @@ class TestExports:
         assert to_perfetto_json(spans) == json.loads(
             write_perfetto_trace(tmp_path / "b.json", spans).read_text()
         )
+
+
+def edge_spans():
+    """Hand-built spans covering what the tracer rarely combines: a
+    link, an open span, non-ASCII text and every attribute type."""
+    tid = derive_trace_id("edges")
+    root = Span("run", "run", tid, derive_span_id(tid, "run", 0), None,
+                0.0, 30.0, status="ok")
+    done = Span(
+        "job:é", "phase", tid, derive_span_id(tid, "job", 0),
+        root.span_id, 1.5, 12.25,
+        attributes={"phase": "exec", "machine": "nœud-7", "site": "osg",
+                    "attempt": 2, "ok": True, "expected_s": 0.1,
+                    "note": "naïve ✓ 日本"},
+        links=[SpanLink(tid, root.span_id, {"relation": "retry_of"})],
+        status="error",
+    )
+    still_open = Span(
+        "job:open", "phase", tid, derive_span_id(tid, "job", 1),
+        root.span_id, 5.0, None,
+        attributes={"phase": "setup", "machine": "m1", "site": "osg"},
+    )
+    return [root, done, still_open]
+
+
+class TestStreamedExports:
+    """The writers stream compact JSON; the ``to_*_json`` helpers are
+    the materialised oracle for their exact bytes."""
+
+    RESOURCE = {"repro.seed": 3, "host.name": "héte", "repro.traced": True}
+
+    def compact(self, doc):
+        return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+
+    def all_spans(self):
+        _, _, tracer = traced_chain_run()
+        return tracer.finish() + edge_spans()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    def test_otlp_bytes_pin_compact_format(self, tmp_path, monkeypatch,
+                                           chunk):
+        monkeypatch.setattr(trace_mod, "_CHUNK", chunk)
+        spans = self.all_spans()
+        path = write_otlp_trace(
+            tmp_path / "trace.otlp.json", spans,
+            service_name="svc", resource_attributes=self.RESOURCE,
+        )
+        assert path.read_bytes() == self.compact(to_otlp_json(
+            spans, service_name="svc", resource_attributes=self.RESOURCE,
+        ))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    def test_perfetto_bytes_pin_compact_format(self, tmp_path, monkeypatch,
+                                               chunk):
+        monkeypatch.setattr(trace_mod, "_CHUNK", chunk)
+        spans = self.all_spans()
+        path = write_perfetto_trace(tmp_path / "trace.perfetto.json", spans)
+        assert path.read_bytes() == self.compact(to_perfetto_json(spans))
+
+    def test_empty_span_list(self, tmp_path):
+        otlp = write_otlp_trace(tmp_path / "o.json", [])
+        perfetto = write_perfetto_trace(tmp_path / "p.json", [])
+        assert otlp.read_bytes() == self.compact(to_otlp_json([]))
+        assert perfetto.read_bytes() == b'{"packet":[]}\n'
+        scope = json.loads(otlp.read_text())["resourceSpans"][0]
+        assert scope["scopeSpans"][0]["spans"] == []
+
+    def test_edge_cases_survive_the_round_trip(self, tmp_path):
+        spans = edge_spans()
+        path = write_otlp_trace(tmp_path / "o.json", spans,
+                                resource_attributes=self.RESOURCE)
+        raw = path.read_bytes()
+        assert raw.isascii() and raw.count(b"\n") == 1
+        doc = json.loads(raw)
+        resource = {
+            a["key"]: a["value"]
+            for a in doc["resourceSpans"][0]["resource"]["attributes"]
+        }
+        assert resource == {
+            "service.name": {"stringValue": "repro"},
+            "repro.seed": {"intValue": "3"},
+            "host.name": {"stringValue": "héte"},
+            "repro.traced": {"boolValue": True},
+        }
+        rows = {r["name"]: r
+                for r in doc["resourceSpans"][0]["scopeSpans"][0]["spans"]}
+        done = rows["job:é"]
+        attrs = {a["key"]: a["value"] for a in done["attributes"]}
+        assert attrs["note"] == {"stringValue": "naïve ✓ 日本"}
+        assert attrs["attempt"] == {"intValue": "2"}
+        assert attrs["ok"] == {"boolValue": True}
+        assert attrs["expected_s"] == {"doubleValue": 0.1}
+        assert done["status"] == {"code": "STATUS_CODE_ERROR"}
+        assert done["links"][0]["spanId"] == spans[0].span_id
+        # an open span exports as zero-length in OTLP...
+        still_open = rows["job:open"]
+        assert still_open["endTimeUnixNano"] == still_open[
+            "startTimeUnixNano"] == "5000000000"
+        # ...and is left out of the Perfetto slice stacks
+        perfetto = json.loads(
+            write_perfetto_trace(tmp_path / "p.json", spans).read_text()
+        )
+        names = [p["trackEvent"].get("name")
+                 for p in perfetto["packet"] if "trackEvent" in p]
+        assert "job:open" not in names and "job:é" in names
+
+    @pytest.mark.parametrize("writer, filename", [
+        (write_otlp_trace, "trace.otlp.json"),
+        (write_perfetto_trace, "trace.perfetto.json"),
+    ])
+    def test_failure_midway_keeps_previous_file(self, tmp_path, monkeypatch,
+                                                writer, filename):
+        monkeypatch.setattr(trace_mod, "_CHUNK", 1)
+        spans = self.all_spans()
+        path = writer(tmp_path / filename, spans)
+        before = path.read_bytes()
+
+        class Exploding(list):
+            def __iter__(self):
+                for i, span in enumerate(list.__iter__(self)):
+                    if i == 3:
+                        raise RuntimeError("span source died")
+                    yield span
+
+        with pytest.raises(RuntimeError, match="span source died"):
+            writer(path, Exploding(spans))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [filename]
 
 
 class TestStragglerDetector:
