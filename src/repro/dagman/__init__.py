@@ -19,7 +19,6 @@ marking completed work. This package implements those semantics:
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
-from repro.dagman.legacy import LegacyRescanScheduler
 from repro.dagman.scheduler import DagmanScheduler, DagmanResult
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "WorkflowTrace",
     "DagmanScheduler",
     "DagmanResult",
-    "LegacyRescanScheduler",
 ]

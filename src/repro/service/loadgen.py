@@ -168,13 +168,11 @@ def build_service(
     backend: str = "cluster",
     seed: int = 0,
     bus: EventBus | None = None,
-    matchmaker: str | None = None,
 ) -> _Backend:
     """Platform + service + tenants for one load run.
 
     ``backend`` is ``cluster`` (Sandhills model) or ``grid`` (OSG
-    model); ``matchmaker`` overrides the grid's strategy (``indexed``
-    is its default, ``linear`` is the oracle)."""
+    model)."""
     simulator = Simulator()
     streams = RngStreams(seed=seed)
     bus = bus if bus is not None else EventBus()
@@ -184,11 +182,8 @@ def build_service(
             simulator, CampusClusterConfig(), streams=streams, bus=bus
         )
     elif backend == "grid":
-        config = GridConfig()
-        if matchmaker is not None:
-            config = GridConfig(matchmaker=matchmaker)
         environment = OpportunisticGrid(
-            simulator, config, streams=streams, bus=bus
+            simulator, GridConfig(), streams=streams, bus=bus
         )
     else:
         raise ValueError(
@@ -224,7 +219,6 @@ def run_load(
     backend: str = "cluster",
     seed: int = 0,
     bus: EventBus | None = None,
-    matchmaker: str | None = None,
 ) -> dict[str, object]:
     """Run one scenario to completion; returns the results document.
 
@@ -233,9 +227,7 @@ def run_load(
     ``60 / workflows_per_minute`` — a deterministic interleaved
     schedule at the requested per-tenant rate.
     """
-    built = build_service(
-        spec, backend=backend, seed=seed, bus=bus, matchmaker=matchmaker
-    )
+    built = build_service(spec, backend=backend, seed=seed, bus=bus)
     service = built.service
     streams = RngStreams(seed=seed)
     shape_rng = streams.stream("loadgen.shapes")

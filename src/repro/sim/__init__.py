@@ -12,8 +12,14 @@ simulator:
 * :mod:`repro.sim.machine` — node/slot descriptions,
 * :mod:`repro.sim.network` — stage-in/out transfer model,
 * :mod:`repro.sim.failures` — eviction and failure sampling,
+* :mod:`repro.sim.platform` — the shared platform kernel: one slot
+  lifecycle, fault resolution and event stream for every model below,
 * :mod:`repro.sim.cluster` — the Sandhills-like campus cluster,
-* :mod:`repro.sim.grid` — the OSG-like opportunistic grid.
+* :mod:`repro.sim.grid` — the OSG-like opportunistic grid,
+* :mod:`repro.sim.matchmaker` — the grid's indexed ClassAd matchmaker
+  and its linear-scan test oracle,
+* :mod:`repro.sim.cloud` — the on-demand cloud (the paper's future
+  work).
 """
 
 from repro.sim.engine import Simulator

@@ -18,9 +18,9 @@ models the EC2/FutureGrid style platform the paper names:
   (an eviction hazard, like OSG's preemption) for the cost/risk
   trade-off study.
 
-Implements the same ``ExecutionEnvironment`` protocol as the campus
-cluster and grid models, so DAGMan and ``pegasus-statistics`` work on
-cloud runs unchanged.
+It is a policy over the same :class:`~repro.sim.platform.Platform`
+kernel as the campus cluster and grid models, so DAGMan and
+``pegasus-statistics`` work on cloud runs unchanged.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ from typing import TYPE_CHECKING, Callable
 from repro.dagman.dag import DagJob
 from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus
-from repro.observe.events import EventKind, RunEvent
-from repro.observe.profile import modelled_profile
-from repro.resilience.faults import resolve_exec
 from repro.sim.engine import Simulator
 from repro.sim.failures import NO_FAILURES, FailureModel
+from repro.sim.platform import Platform
 from repro.sim.rng import RngStreams, bounded_lognormal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.faults import FaultDecision, FaultInjector
+    from repro.resilience.faults import FaultInjector
 
 __all__ = ["InstanceType", "CloudConfig", "CloudPlatform"]
 
@@ -91,18 +89,25 @@ class CloudConfig:
 class _Instance:
     """One VM: boots once, runs jobs one at a time, idles, terminates."""
 
-    __slots__ = ("name", "launched_at", "terminated_at", "busy", "idle_event")
+    __slots__ = ("name", "site", "speed", "launched_at", "terminated_at",
+                 "busy", "idle_event")
 
-    def __init__(self, name: str, launched_at: float) -> None:
+    def __init__(self, name: str, site: str, speed: float,
+                 launched_at: float) -> None:
         self.name = name
+        self.site = site
+        self.speed = speed
         self.launched_at = launched_at
         self.terminated_at: float | None = None
         self.busy = False
         self.idle_event = None  # pending termination event
 
 
-class CloudPlatform:
-    """Discrete-event on-demand cloud (an ``ExecutionEnvironment``)."""
+class CloudPlatform(Platform):
+    """Discrete-event on-demand cloud: instances with boot time, a warm
+    pool, billing and optional spot reclaim."""
+
+    eviction_error = "spot instance reclaimed"
 
     def __init__(
         self,
@@ -116,29 +121,15 @@ class CloudPlatform:
         """``injector`` layers a chaos
         :class:`~repro.resilience.faults.FaultPlan` (spot storms, bad
         AZs, stragglers) on top of the configured spot-reclaim model."""
-        self.simulator = simulator
-        self.config = config
-        self.bus = bus
-        self.injector = injector
+        super().__init__(simulator, config, bus=bus, injector=injector,
+                         blacklist=None)
         streams = streams or RngStreams(seed=0)
         self._boot_rng = streams.stream(f"{config.name}.boot")
         self._failure_rng = streams.stream(f"{config.name}.failures")
         self._instances: list[_Instance] = []
         self._warm: list[_Instance] = []  # booted and idle
-        self._queue: list[
-            tuple[DagJob, Callable[[JobAttempt], None], int, float]
-        ] = []
         self._counter = 0
         self.peak_instances = 0
-        self.reclaim_count = 0
-        self.start_failure_count = 0
-        self.timeout_count = 0
-
-    # -- ExecutionEnvironment protocol ---------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.simulator.now
 
     def submit(
         self,
@@ -150,12 +141,15 @@ class CloudPlatform:
         self._queue.append((job, on_complete, attempt, self.now))
         self._dispatch()
 
-    def run_until_complete(self) -> None:
-        self.simulator.run()
+    @property
+    def capacity(self) -> int:
+        """Concurrent-job ceiling: the instance cap."""
+        return self.config.max_instances
 
-    def call_later(self, delay_s: float, fn: Callable[[], None]) -> None:
-        """Virtual-clock deferral (delayed retries park here)."""
-        self.simulator.schedule(delay_s, fn)
+    @property
+    def reclaim_count(self) -> int:
+        """Evicted attempts: spot reclaims plus injected evictions."""
+        return self.eviction_count
 
     # -- accounting -------------------------------------------------------
 
@@ -191,59 +185,35 @@ class CloudPlatform:
             cost += quanta * hourly * (quantum / 3600.0)
         return cost
 
-    # -- internals ------------------------------------------------------
-
-    def _emit(self, kind: EventKind, job: DagJob, attempt: int,
-              instance: _Instance,
-              detail: dict | None = None) -> None:
-        bus = self.bus
-        if bus is None or not bus.active:
-            return  # deaf bus: skip event construction entirely
-        bus.emit(
-            RunEvent(
-                kind,
-                self.simulator.now,
-                job_name=job.name,
-                transformation=job.transformation,
-                site=self.config.name,
-                machine=instance.name,
-                attempt=attempt,
-                detail=detail or {},
-            )
-        )
+    # -- policy ---------------------------------------------------------
 
     def _dispatch(self) -> None:
-        while self._queue:
-            job, on_complete, attempt, submit_time = self._queue[0]
+        queue = self._queue
+        while queue:
             if self._warm:
                 instance = self._warm.pop()
                 if instance.idle_event is not None:
                     instance.idle_event.cancel()
                     instance.idle_event = None
-                self._queue.pop(0)
-                self._emit(
-                    EventKind.MATCH, job, attempt, instance,
-                    detail={"queue_depth": len(self._queue)},
-                )
-                self._start_on(
-                    instance, job, on_complete, attempt, submit_time,
-                    booted=True,
-                )
+                job, on_complete, attempt, submit_time = queue.popleft()
+                self._match(job, attempt, instance)
+                # Warm start: booted already, no dispatch latency.
+                self._start_on(instance, job, on_complete, attempt,
+                               submit_time)
             elif self.running_instances < self.config.max_instances:
-                self._queue.pop(0)
+                job, on_complete, attempt, submit_time = queue.popleft()
                 self._counter += 1
                 instance = _Instance(
                     name=f"{self.config.name}-vm{self._counter:05d}",
+                    site=self.config.name,
+                    speed=self.config.instance_type.speed,
                     launched_at=self.now,
                 )
                 self._instances.append(instance)
                 self.peak_instances = max(
                     self.peak_instances, self.running_instances
                 )
-                self._emit(
-                    EventKind.MATCH, job, attempt, instance,
-                    detail={"queue_depth": len(self._queue)},
-                )
+                self._match(job, attempt, instance)
                 boot = self.config.dispatch_latency_s + bounded_lognormal(
                     self._boot_rng,
                     self.config.boot_mean_s,
@@ -253,8 +223,7 @@ class CloudPlatform:
                 self.simulator.schedule(
                     boot,
                     lambda inst=instance, j=job, cb=on_complete, a=attempt,
-                    st=submit_time: self._start_on(inst, j, cb, a, st,
-                                                   booted=False),
+                    st=submit_time: self._start_on(inst, j, cb, a, st),
                 )
             else:
                 return  # no capacity; retry on next completion
@@ -266,135 +235,24 @@ class CloudPlatform:
         on_complete: Callable[[JobAttempt], None],
         attempt: int,
         submit_time: float,
-        *,
-        booted: bool,
     ) -> None:
         instance.busy = True
-        start = self.now
         # Native spot-reclaim draw comes FIRST so the configured model
         # consumes its RNG stream identically with or without an
-        # injector layered on top.
+        # injector layered on top (and on dead-on-arrival attempts).
         reclaim_in = self.config.failures.sample_eviction_time(
             self._failure_rng
         )
-        decision: "FaultDecision | None" = None
-        if self.injector is not None:
-            decision = self.injector.decide(
-                job,
-                site=self.config.name,
-                machine=instance.name,
-                attempt=attempt,
-                now=self.now,
-            )
-        if decision is not None and decision.dead_on_arrival:
-            self.start_failure_count += 1
-            self._finish(
-                instance, job, on_complete, attempt, submit_time, start,
-                JobStatus.FAILED, decision.dead_on_arrival,
-                terminate=True,
-            )
-            return
-        self._emit(EventKind.EXEC_START, job, attempt, instance)
-        duration = job.runtime / self.config.instance_type.speed
-        if decision is not None:
-            duration *= decision.slowdown_factor
-            if decision.hang:
-                duration = math.inf
-            if decision.evict_after is not None:
-                reclaim_in = min(reclaim_in, decision.evict_after)
-        delay, status, error = resolve_exec(
-            duration, evict_after=reclaim_in, timeout_s=job.timeout_s
-        )
-        if math.isinf(delay):
-            # Hung payload, no timeout, no reclaim due: the attempt
-            # wedges and the instance bills forever — the scenario
-            # ``DagJob.timeout_s`` prevents.
-            return
-        if status is JobStatus.EVICTED:
-            self.reclaim_count += 1
-            error = "spot instance reclaimed"
-        elif status is JobStatus.TIMEOUT:
-            self.timeout_count += 1
-        self.simulator.schedule(
-            delay,
-            lambda: self._finish(
-                instance, job, on_complete, attempt, submit_time, start,
-                status, error, terminate=status is JobStatus.EVICTED,
-            ),
-        )
+        self._arrive(job, on_complete, attempt, submit_time, instance,
+                     evict_in=reclaim_in)
 
-    def _finish(
-        self,
-        instance: _Instance,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        start: float,
-        status: JobStatus,
-        error: str | None,
-        *,
-        terminate: bool,
-    ) -> None:
-        record = JobAttempt(
-            job_name=job.name,
-            transformation=job.transformation,
-            site=self.config.name,
-            machine=instance.name,
-            attempt=attempt,
-            submit_time=submit_time,
-            setup_start=start,  # image is pre-baked: no download/install
-            exec_start=start,
-            exec_end=self.now,
-            status=status,
-            error=error,
-            profile=modelled_profile(
-                job.transformation, self.now - start,
-                speed=self.config.instance_type.speed,
-            ),
-        )
+    def _release(self, instance: _Instance, status: JobStatus) -> None:
         instance.busy = False
-        if terminate:
+        if status is JobStatus.EVICTED or status is JobStatus.FAILED:
+            # Reclaimed, or dead on arrival: the VM is gone.
             instance.terminated_at = self.now
         else:
             self._park(instance)
-        bus = self.bus
-        if bus is not None and bus.active:
-            batch = []
-            if status is JobStatus.TIMEOUT:
-                batch.append(
-                    RunEvent(
-                        EventKind.TIMEOUT,
-                        self.now,
-                        job_name=record.job_name,
-                        transformation=record.transformation,
-                        site=record.site,
-                        machine=record.machine,
-                        attempt=record.attempt,
-                        detail={"error": error} if error else {},
-                    )
-                )
-            kind = (
-                EventKind.EVICT
-                if status is JobStatus.EVICTED
-                else EventKind.FINISH
-            )
-            batch.append(
-                RunEvent(
-                    kind,
-                    self.now,
-                    job_name=record.job_name,
-                    transformation=record.transformation,
-                    site=record.site,
-                    machine=record.machine,
-                    attempt=record.attempt,
-                    record=record,
-                    detail={"status": record.status.value},
-                )
-            )
-            bus.emit_batch(batch)
-        on_complete(record)
-        self._dispatch()
 
     def _park(self, instance: _Instance) -> None:
         """Idle the instance; terminate it after the warm-pool timeout."""

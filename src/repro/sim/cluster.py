@@ -11,30 +11,27 @@ failures**. The model has exactly those levers:
 * per-node speed jitter (heterogeneous cluster),
 * zero download/install time, zero failures, zero preemption.
 
-It implements the :class:`repro.dagman.scheduler.ExecutionEnvironment`
-protocol, so DAGMan drives it exactly as it drives the real executor.
+It is a policy over the shared :class:`~repro.sim.platform.Platform`
+kernel (an :class:`repro.dagman.scheduler.ExecutionEnvironment`), so
+DAGMan drives it exactly as it drives the real executor.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.dagman.dag import DagJob
-from repro.dagman.events import JobAttempt, JobStatus
+from repro.dagman.events import JobAttempt
 from repro.observe.bus import EventBus
-from repro.observe.events import EventKind, RunEvent
-from repro.observe.profile import modelled_profile
-from repro.resilience.faults import resolve_exec
 from repro.sim.engine import Simulator
 from repro.sim.machine import MachineSpec, make_machines
+from repro.sim.platform import Platform
 from repro.sim.rng import RngStreams, bounded_lognormal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.blacklist import Blacklist
-    from repro.resilience.faults import FaultDecision, FaultInjector
+    from repro.resilience.faults import FaultInjector
 
 __all__ = ["CampusClusterConfig", "CampusCluster"]
 
@@ -73,8 +70,9 @@ class CampusClusterConfig:
         return self.nodes * self.cores_per_node
 
 
-class CampusCluster:
-    """Discrete-event Sandhills model (an ``ExecutionEnvironment``)."""
+class CampusCluster(Platform):
+    """Discrete-event Sandhills model: a group-slot cap, round-robin
+    node choice and a lognormal batch-queue wait."""
 
     def __init__(
         self,
@@ -90,11 +88,8 @@ class CampusCluster:
         layers a chaos :class:`~repro.resilience.faults.FaultPlan` on
         top of it and ``blacklist`` excludes tripped nodes from the
         round-robin."""
-        self.simulator = simulator
-        self.config = config
-        self.bus = bus
-        self.injector = injector
-        self.blacklist = blacklist
+        super().__init__(simulator, config, bus=bus, injector=injector,
+                         blacklist=blacklist)
         streams = streams or RngStreams(seed=0)
         self._wait_rng = streams.stream(f"{config.name}.wait")
         machine_rng = streams.stream(f"{config.name}.machines")
@@ -108,22 +103,7 @@ class CampusCluster:
             speed_spread=config.speed_spread,
             software_prob=1.0,  # campus software stack is maintained
         )
-        self._queue: deque[
-            tuple[DagJob, Callable[[JobAttempt], None], int, float]
-        ] = deque()
-        self._busy = 0
         self._next_machine = 0
-        self._redispatch_pending = False
-        self.peak_busy = 0
-        self.start_failure_count = 0
-        self.eviction_count = 0
-        self.timeout_count = 0
-
-    # -- ExecutionEnvironment protocol ---------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.simulator.now
 
     def submit(
         self,
@@ -135,47 +115,15 @@ class CampusCluster:
         self._queue.append((job, on_complete, attempt, self.now))
         self._dispatch()
 
-    def run_until_complete(self) -> None:
-        self.simulator.run()
-
-    def call_later(self, delay_s: float, fn: Callable[[], None]) -> None:
-        """Virtual-clock deferral (delayed retries park here)."""
-        self.simulator.schedule(delay_s, fn)
-
-    # -- internals ------------------------------------------------------
-
-    @property
-    def busy_slots(self) -> int:
-        return self._busy
-
     @property
     def capacity(self) -> int:
-        """Concurrent-job ceiling (what the service layer sizes quotas
-        by): the group allocation, not the whole cluster."""
+        """Concurrent-job ceiling: the group allocation, not the whole
+        cluster."""
         return self.config.group_slots
 
     def queue_status(self) -> dict[str, int]:
         """``condor_q``-style snapshot: idle (queued) vs running."""
         return {"idle": len(self._queue), "running": self._busy}
-
-    def _emit(self, kind: EventKind, job: DagJob, attempt: int,
-              machine: MachineSpec,
-              detail: dict | None = None) -> None:
-        bus = self.bus
-        if bus is None or not bus.active:
-            return  # deaf bus: skip event construction entirely
-        bus.emit(
-            RunEvent(
-                kind,
-                self.simulator.now,
-                job_name=job.name,
-                transformation=job.transformation,
-                site=self.config.name,
-                machine=machine.name,
-                attempt=attempt,
-                detail=detail or {},
-            )
-        )
 
     def _dispatch(self) -> None:
         while self._queue and self._busy < self.config.group_slots:
@@ -186,12 +134,10 @@ class CampusCluster:
                 self._schedule_redispatch()
                 return
             job, on_complete, attempt, submit_time = self._queue.popleft()
-            self._busy += 1
+            self._match(job, attempt, machine)
+            # The slot is the group's from match time: the batch-queue
+            # wait below counts as busy.
             self.peak_busy = max(self.peak_busy, self._busy)
-            self._emit(
-                EventKind.MATCH, job, attempt, machine,
-                detail={"queue_depth": len(self._queue)},
-            )
             wait = self.config.dispatch_latency_s + bounded_lognormal(
                 self._wait_rng,
                 self.config.queue_wait_mean_s,
@@ -201,7 +147,7 @@ class CampusCluster:
             self.simulator.schedule(
                 wait,
                 lambda j=job, cb=on_complete, a=attempt, st=submit_time, m=machine: (
-                    self._start(j, cb, a, st, m)
+                    self._arrive(j, cb, a, st, m)
                 ),
             )
 
@@ -216,145 +162,3 @@ class CampusCluster:
             ):
                 return machine
         return None
-
-    def _schedule_redispatch(self) -> None:
-        assert self.blacklist is not None
-        if self._redispatch_pending:
-            return
-        expiry = self.blacklist.next_expiry(now=self.now)
-        if expiry is None:
-            return
-        self._redispatch_pending = True
-
-        def fire() -> None:
-            self._redispatch_pending = False
-            self._dispatch()
-
-        self.simulator.schedule(expiry - self.now, fire)
-
-    def _start(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        machine: MachineSpec,
-    ) -> None:
-        start = self.now
-        decision: "FaultDecision | None" = None
-        if self.injector is not None:
-            decision = self.injector.decide(
-                job,
-                site=self.config.name,
-                machine=machine.name,
-                attempt=attempt,
-                now=self.now,
-            )
-        if decision is not None and decision.dead_on_arrival:
-            self.start_failure_count += 1
-            if self.blacklist is not None:
-                self.blacklist.record_start_failure(
-                    machine.name, self.config.name, now=self.now
-                )
-            self._finish(
-                job, on_complete, attempt, submit_time, start, machine,
-                JobStatus.FAILED, decision.dead_on_arrival,
-            )
-            return
-        duration = job.runtime / machine.speed
-        evict_after: float | None = None
-        if decision is not None:
-            duration *= decision.slowdown_factor
-            if decision.hang:
-                duration = math.inf
-            evict_after = decision.evict_after
-        delay, status, error = resolve_exec(
-            duration, evict_after=evict_after, timeout_s=job.timeout_s
-        )
-        # Software is pre-installed: setup == start, no download/install.
-        self._emit(EventKind.EXEC_START, job, attempt, machine)
-        if math.isinf(delay):
-            # Hung payload, no timeout: the attempt wedges and its slot
-            # stays busy — the scenario ``DagJob.timeout_s`` prevents.
-            return
-        if status is JobStatus.EVICTED:
-            self.eviction_count += 1
-        elif status is JobStatus.TIMEOUT:
-            self.timeout_count += 1
-        self.simulator.schedule(
-            delay,
-            lambda: self._finish(
-                job, on_complete, attempt, submit_time, start, machine,
-                status, error,
-            ),
-        )
-
-    def _finish(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        start: float,
-        machine: MachineSpec,
-        status: JobStatus = JobStatus.SUCCEEDED,
-        error: str | None = None,
-    ) -> None:
-        record = JobAttempt(
-            job_name=job.name,
-            transformation=job.transformation,
-            site=self.config.name,
-            machine=machine.name,
-            attempt=attempt,
-            submit_time=submit_time,
-            setup_start=start,
-            exec_start=start,
-            exec_end=self.now,
-            status=status,
-            error=error,
-            # Model-derived usage for the realized exec window (evicted
-            # or timed-out attempts show the work they burned anyway).
-            profile=modelled_profile(
-                job.transformation, self.now - start, speed=machine.speed
-            ),
-        )
-        self._busy -= 1
-        if status is JobStatus.SUCCEEDED and self.blacklist is not None:
-            self.blacklist.record_success(machine.name, self.config.name)
-        bus = self.bus
-        if bus is not None and bus.active:
-            batch = []
-            if status is JobStatus.TIMEOUT:
-                batch.append(
-                    RunEvent(
-                        EventKind.TIMEOUT,
-                        self.now,
-                        job_name=job.name,
-                        transformation=job.transformation,
-                        site=self.config.name,
-                        machine=machine.name,
-                        attempt=attempt,
-                        detail={"error": error} if error else {},
-                    )
-                )
-            kind = (
-                EventKind.EVICT
-                if status is JobStatus.EVICTED
-                else EventKind.FINISH
-            )
-            batch.append(
-                RunEvent(
-                    kind,
-                    self.now,
-                    job_name=job.name,
-                    transformation=job.transformation,
-                    site=self.config.name,
-                    machine=machine.name,
-                    attempt=attempt,
-                    record=record,
-                    detail={"status": record.status.value},
-                )
-            )
-            bus.emit_batch(batch)
-        on_complete(record)
-        self._dispatch()

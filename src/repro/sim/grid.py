@@ -18,6 +18,10 @@ each modelled explicitly and separately tunable:
   held"); DAGMan's retries turn these into the paper's observed
   "failures and workflow retries".
 
+The model is a policy over the shared
+:class:`~repro.sim.platform.Platform` kernel, which resolves faults and
+records attempts the same way on every platform.
+
 Aggregate capacity exceeds the campus cluster's group share ("OSG
 provides more computational resources"), and per-core speed is a little
 higher (the paper: ignoring waiting and download/install, "OSG gives
@@ -26,7 +30,6 @@ significantly better results").
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
@@ -34,13 +37,12 @@ from repro.dagman.condor import ClassAd
 from repro.dagman.dag import DagJob
 from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus
-from repro.observe.events import EventKind, RunEvent
-from repro.observe.profile import modelled_profile
-from repro.resilience.faults import resolve_exec
+from repro.observe.events import EventKind
 from repro.sim.engine import Simulator
 from repro.sim.failures import FailureModel
 from repro.sim.machine import MachineSpec, make_machines
-from repro.sim.matchmaker import MATCHMAKERS, Matchmaker, create_matchmaker
+from repro.sim.matchmaker import IndexedMatchmaker, Matchmaker
+from repro.sim.platform import Platform
 from repro.sim.rng import RngStreams, bounded_lognormal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,18 +97,10 @@ class GridConfig:
         start_failure_prob=0.04, eviction_rate_per_s=1.0 / 20000.0
     )
     unmatched_timeout_s: float = 6 * 3600.0
-    #: Matchmaking strategy: ``indexed`` (capability-signature buckets)
-    #: or ``linear`` (the historical full rescan, kept as the oracle).
-    matchmaker: str = "indexed"
 
     def __post_init__(self) -> None:
         if self.unmatched_timeout_s <= 0:
             raise ValueError("unmatched_timeout_s must be positive")
-        if self.matchmaker not in MATCHMAKERS:
-            raise ValueError(
-                f"unknown matchmaker {self.matchmaker!r}; "
-                f"choose from {sorted(MATCHMAKERS)}"
-            )
 
     def with_sites(self) -> "GridConfig":
         if self.sites:
@@ -118,21 +112,12 @@ class GridConfig:
         return sum(site.slots for site in self.sites)
 
 
-@dataclass(frozen=True)
-class _QueueEntry:
-    """One idle job: its ClassAd is built once at submit time and
-    reused on every dispatch pass (it used to be rebuilt per entry per
-    pass)."""
+class OpportunisticGrid(Platform):
+    """Discrete-event OSG model: ClassAd matchmaking over a
+    heterogeneous pool, opportunistic waits, per-job download/install
+    and native dead-on-arrival and preemption draws."""
 
-    job: DagJob
-    on_complete: Callable[[JobAttempt], None]
-    attempt: int
-    submit_time: float
-    ad: ClassAd
-
-
-class OpportunisticGrid:
-    """Discrete-event OSG model (an ``ExecutionEnvironment``)."""
+    report_after_refill = True
 
     def __init__(
         self,
@@ -149,12 +134,8 @@ class OpportunisticGrid:
         ``blacklist`` is the start-failure circuit breaker — blocked
         machines are excluded from matchmaking until their cooldown
         (if any) expires."""
-        self.simulator = simulator
-        self.config = config.with_sites()
-        self.bus = bus
-        self.injector = injector
-        self.blacklist = blacklist
-        self._redispatch_pending = False
+        super().__init__(simulator, config.with_sites(), bus=bus,
+                         injector=injector, blacklist=blacklist)
         streams = streams or RngStreams(seed=0)
         self._wait_rng = streams.stream(f"{self.config.name}.wait")
         self._setup_rng = streams.stream(f"{self.config.name}.setup")
@@ -177,26 +158,13 @@ class OpportunisticGrid:
             m.name: m for m in self._machines
         }
         #: Owns the free list, the machine ads, and all match caches.
-        self.matchmaker: Matchmaker = create_matchmaker(
-            self.config.matchmaker, self._machines
-        )
-        self._queue: list[_QueueEntry] = []
+        self.matchmaker: Matchmaker = IndexedMatchmaker(self._machines)
         # Jobs that have *arrived* at their slot (setup or payload in
         # progress). ``busy_slots`` counts reserved slots from match
         # time; the paper's utilization numbers must not count the
         # opportunistic-wait window as busy, so the peak is recorded
-        # from arrivals (see ``_arrive``), not from matches.
+        # from arrivals (see ``_occupy``), not from matches.
         self._occupied = 0
-        self.peak_busy = 0
-        self.eviction_count = 0
-        self.start_failure_count = 0
-        self.timeout_count = 0
-
-    # -- ExecutionEnvironment protocol ---------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.simulator.now
 
     def submit(
         self,
@@ -231,25 +199,10 @@ class OpportunisticGrid:
 
             self.simulator.schedule(timeout, hold_expired)
             return
-        self._queue.append(
-            _QueueEntry(job, on_complete, attempt, submit_time, ad)
-        )
+        # The job's ClassAd is built once here and reused on every
+        # dispatch pass.
+        self._queue.append((job, on_complete, attempt, submit_time, ad))
         self._dispatch()
-
-    def run_until_complete(self) -> None:
-        self.simulator.run()
-
-    def call_later(self, delay_s: float, fn: Callable[[], None]) -> None:
-        """Virtual-clock deferral (delayed retries park here)."""
-        self.simulator.schedule(delay_s, fn)
-
-    # -- internals ------------------------------------------------------
-
-    @property
-    def busy_slots(self) -> int:
-        """Slots reserved for a job (from match time; includes the
-        opportunistic-wait window before the job arrives)."""
-        return self.matchmaker.pool_size - self.matchmaker.free_count
 
     @property
     def capacity(self) -> int:
@@ -269,54 +222,11 @@ class OpportunisticGrid:
         utilization sampled from this snapshot is not inflated by slot
         acquisition time.
         """
-        waiting_matched = self.busy_slots - self._occupied
+        waiting_matched = self._busy - self._occupied
         return {
             "idle": len(self._queue) + waiting_matched,
             "running": self._occupied,
         }
-
-    def _emit(self, kind: EventKind, job: DagJob, attempt: int,
-              machine: MachineSpec,
-              detail: dict | None = None) -> None:
-        bus = self.bus
-        if bus is None or not bus.active:
-            return  # deaf bus: skip event construction entirely
-        bus.emit(
-            RunEvent(
-                kind,
-                self.simulator.now,
-                job_name=job.name,
-                transformation=job.transformation,
-                site=machine.site,
-                machine=machine.name,
-                attempt=attempt,
-                detail=detail or {},
-            )
-        )
-
-    def _terminal_event(self, record: JobAttempt) -> RunEvent:
-        kind = (
-            EventKind.EVICT
-            if record.status is JobStatus.EVICTED
-            else EventKind.FINISH
-        )
-        return RunEvent(
-            kind,
-            self.simulator.now,
-            job_name=record.job_name,
-            transformation=record.transformation,
-            site=record.site,
-            machine=record.machine,
-            attempt=record.attempt,
-            record=record,
-            detail={"status": record.status.value},
-        )
-
-    def _emit_terminal(self, record: JobAttempt) -> None:
-        bus = self.bus
-        if bus is None or not bus.active:
-            return
-        bus.emit(self._terminal_event(record))
 
     @staticmethod
     def _job_ad(job: DagJob) -> ClassAd:
@@ -332,7 +242,7 @@ class OpportunisticGrid:
         if not matchmaker.free_count:
             return
         # The blocked set is computed once per pass and shared by every
-        # queued entry (it used to be re-filtered per entry).
+        # queued entry.
         blocked: frozenset[str] = frozenset()
         if self.blacklist is not None:
             blocked = frozenset(
@@ -342,58 +252,40 @@ class OpportunisticGrid:
                     name, self._by_name[name].site, now=self.now
                 )
             )
-        still_queued = []
-        for idx, entry in enumerate(self._queue):
+        # One pass over the queue in order: unmatched entries rotate to
+        # the back, so while an entry is matched the queue holds exactly
+        # the entries still unmatched this pass.
+        queue = self._queue
+        skipped = 0
+        for _ in range(len(queue)):
             if not matchmaker.free_count:
                 # Pool exhausted mid-pass: nothing behind can match.
-                still_queued.extend(self._queue[idx:])
                 break
-            chosen = matchmaker.find(entry.ad, blocked=blocked)
+            entry = queue.popleft()
+            chosen = matchmaker.find(entry[4], blocked=blocked)  # job ad
             if chosen is None:
-                still_queued.append(entry)
+                queue.append(entry)
+                skipped += 1
                 continue
             matchmaker.claim(chosen)
             machine = self._by_name[chosen]
-            self._emit(
-                EventKind.MATCH, entry.job, entry.attempt, machine,
-                # Entries still unmatched this pass: the skipped ones
-                # plus everything behind the cursor.
-                detail={
-                    "queue_depth": len(still_queued)
-                    + (len(self._queue) - idx - 1),
-                },
-            )
+            job, on_complete, attempt, submit_time, _ = entry
+            self._match(job, attempt, machine)
             wait = self.config.dispatch_latency_s + self._sample_wait()
             self.simulator.schedule(
                 wait,
-                lambda e=entry, m=machine: self._arrive(
-                    e.job, e.on_complete, e.attempt, e.submit_time, m
+                lambda j=job, cb=on_complete, a=attempt, st=submit_time, m=machine: (
+                    self._occupy(j, cb, a, st, m)
                 ),
             )
-        self._queue = still_queued
-        if blocked and self._queue:
+        # Skipped entries go back ahead of the ones this pass never
+        # reached: queue order is unchanged.
+        queue.rotate(skipped)
+        if blocked and queue:
             # Blocks excluded candidates; wake up when the earliest one
             # expires so queued jobs are not stranded until the next
             # completion happens to re-run matchmaking.
             self._schedule_redispatch()
-
-    def _schedule_redispatch(self) -> None:
-        # Guarded in-method (like the cluster) so any caller — the
-        # dispatch pass, the service layer's wakeups — can request a
-        # redispatch without double-scheduling timers.
-        assert self.blacklist is not None
-        if self._redispatch_pending:
-            return
-        expiry = self.blacklist.next_expiry(now=self.now)
-        if expiry is None:
-            return
-        self._redispatch_pending = True
-
-        def fire() -> None:
-            self._redispatch_pending = False
-            self._dispatch()
-
-        self.simulator.schedule(expiry - self.now, fire)
 
     def _sample_wait(self) -> float:
         rng = self._wait_rng
@@ -405,7 +297,7 @@ class OpportunisticGrid:
             rng, mean, self.config.wait_sigma, high=self.config.wait_max_s
         )
 
-    def _arrive(
+    def _occupy(
         self,
         job: DagJob,
         on_complete: Callable[[JobAttempt], None],
@@ -413,57 +305,40 @@ class OpportunisticGrid:
         submit_time: float,
         machine: MachineSpec,
     ) -> None:
-        """The job reached its slot: maybe DOA, else setup then payload."""
-        setup_start = self.now
+        """The job reached its slot after the opportunistic wait."""
         # The slot only now starts doing work for this job; the sampled
         # waiting window it spent reserved does not count toward peak
         # utilization (the paper's "waiting time" is idle time).
         self._occupied += 1
         self.peak_busy = max(self.peak_busy, self._occupied)
-        # Native regime draw comes FIRST so the calibrated baseline
-        # consumes its RNG stream identically with or without an
-        # injector layered on top.
+        # Native regime draw comes FIRST, on every arrival, so the
+        # calibrated baseline consumes its RNG stream identically with
+        # or without an injector layered on top.
         native_doa = self.config.failures.sample_start_failure(
             self._failure_rng
         )
-        decision: "FaultDecision | None" = None
-        if self.injector is not None:
-            decision = self.injector.decide(
-                job,
-                site=machine.site,
-                machine=machine.name,
-                attempt=attempt,
-                now=self.now,
-            )
-        if native_doa or (decision is not None and decision.dead_on_arrival):
-            self.start_failure_count += 1
-            if self.blacklist is not None:
-                self.blacklist.record_start_failure(
-                    machine.name, machine.site, now=self.now
-                )
-            self._release(machine)
-            error = (
+        self._arrive(
+            job, on_complete, attempt, submit_time, machine,
+            native_doa=(
                 "node misconfiguration (dead on arrival)"
-                if native_doa
-                else decision.dead_on_arrival  # type: ignore[union-attr]
-            )
-            record = JobAttempt(
-                job_name=job.name,
-                transformation=job.transformation,
-                site=machine.site,
-                machine=machine.name,
-                attempt=attempt,
-                submit_time=submit_time,
-                setup_start=setup_start,
-                exec_start=setup_start,
-                exec_end=setup_start,
-                status=JobStatus.FAILED,
-                error=error,
-            )
-            self._emit_terminal(record)
-            on_complete(record)
-            return
+                if native_doa else None
+            ),
+        )
 
+    def _setup(
+        self,
+        job: DagJob,
+        on_complete: Callable[[JobAttempt], None],
+        attempt: int,
+        submit_time: float,
+        machine: MachineSpec,
+        decision: "FaultDecision | None",
+        evict_in: float,
+    ) -> None:
+        """Download/install, then the payload. The grid draws nothing on
+        arrival (``evict_in`` is ``inf``): its native preemption hazard
+        is drawn when the payload starts."""
+        setup_start = self.now
         self._emit(EventKind.SETUP_START, job, attempt, machine)
         setup = 0.0
         if job.needs_setup:
@@ -475,109 +350,13 @@ class OpportunisticGrid:
             )
         self.simulator.schedule(
             setup,
-            lambda: self._start_payload(
+            lambda: self._execute(
                 job, on_complete, attempt, submit_time, setup_start,
                 machine, decision,
+                self.config.failures.sample_eviction_time(self._failure_rng),
             ),
         )
 
-    def _start_payload(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        setup_start: float,
-        machine: MachineSpec,
-        decision: "FaultDecision | None" = None,
-    ) -> None:
-        exec_start = self.now
-        self._emit(EventKind.EXEC_START, job, attempt, machine)
-        duration = job.runtime / machine.speed
-        if decision is not None:
-            duration *= decision.slowdown_factor
-            if decision.hang:
-                duration = math.inf
-        eviction_in = self.config.failures.sample_eviction_time(
-            self._failure_rng
-        )
-        if decision is not None and decision.evict_after is not None:
-            eviction_in = min(eviction_in, decision.evict_after)
-        delay, status, error = resolve_exec(
-            duration, evict_after=eviction_in, timeout_s=job.timeout_s
-        )
-        if math.isinf(delay):
-            # Hung payload, no timeout, no eviction due: the attempt
-            # wedges and its slot stays occupied — exactly the scenario
-            # ``DagJob.timeout_s`` exists to prevent.
-            return
-        if status is JobStatus.EVICTED:
-            self.eviction_count += 1
-        elif status is JobStatus.TIMEOUT:
-            self.timeout_count += 1
-        self.simulator.schedule(
-            delay,
-            lambda: self._finish(
-                job, on_complete, attempt, submit_time, setup_start,
-                exec_start, machine, status, error,
-            ),
-        )
-
-    def _finish(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        setup_start: float,
-        exec_start: float,
-        machine: MachineSpec,
-        status: JobStatus,
-        error: str | None,
-    ) -> None:
-        record = JobAttempt(
-            job_name=job.name,
-            transformation=job.transformation,
-            site=machine.site,
-            machine=machine.name,
-            attempt=attempt,
-            submit_time=submit_time,
-            setup_start=setup_start,
-            exec_start=exec_start,
-            exec_end=self.now,
-            status=status,
-            error=error,
-            # Model-derived usage for the realized exec window (evicted
-            # attempts show the work OSG preemption threw away).
-            profile=modelled_profile(
-                job.transformation, self.now - exec_start,
-                speed=machine.speed,
-            ),
-        )
-        if status is JobStatus.SUCCEEDED and self.blacklist is not None:
-            self.blacklist.record_success(machine.name, machine.site)
-        bus = self.bus
-        if status is JobStatus.TIMEOUT and bus is not None and bus.active:
-            # Emitted before _release: the redispatch a release triggers
-            # emits its own MATCH events, and the timeout must precede
-            # them on the stream (order is part of the bus contract).
-            bus.emit(
-                RunEvent(
-                    EventKind.TIMEOUT,
-                    self.now,
-                    job_name=job.name,
-                    transformation=job.transformation,
-                    site=machine.site,
-                    machine=machine.name,
-                    attempt=attempt,
-                    detail={"error": error} if error else {},
-                )
-            )
-        self._release(machine)
-        self._emit_terminal(record)
-        on_complete(record)
-
-    def _release(self, machine: MachineSpec) -> None:
+    def _release(self, machine: MachineSpec, status: JobStatus) -> None:
         self._occupied -= 1
         self.matchmaker.release(machine.name)
-        self._dispatch()

@@ -40,7 +40,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.dagman.condor import ClassAd, evaluate_requirements, match
 from repro.sim.machine import MachineSpec
@@ -50,8 +50,6 @@ __all__ = [
     "Matchmaker",
     "LinearMatchmaker",
     "IndexedMatchmaker",
-    "create_matchmaker",
-    "MATCHMAKERS",
 ]
 
 
@@ -443,23 +441,3 @@ class IndexedMatchmaker(Matchmaker):
             )
         self._matchable_cache[job_key] = verdict
         return verdict
-
-
-MATCHMAKERS: Mapping[str, type[Matchmaker]] = {
-    "linear": LinearMatchmaker,
-    "indexed": IndexedMatchmaker,
-}
-
-
-def create_matchmaker(
-    strategy: str, machines: Iterable[MachineSpec]
-) -> Matchmaker:
-    """Instantiate a matchmaker by config name (``indexed``/``linear``)."""
-    try:
-        cls = MATCHMAKERS[strategy]
-    except KeyError:
-        raise ValueError(
-            f"unknown matchmaker {strategy!r}; "
-            f"choose from {sorted(MATCHMAKERS)}"
-        ) from None
-    return cls(machines)

@@ -196,12 +196,6 @@ def main_run(argv: list[str] | None = None) -> int:
                         default="kill",
                         help="testing: SIGKILL the process (kill) or raise "
                              "CrashInjected in-process (raise)")
-    parser.add_argument("--grid-matchmaker",
-                        choices=("indexed", "linear"),
-                        default="indexed",
-                        help="OSG matchmaking strategy: capability-signature "
-                             "buckets (indexed) or the historical full "
-                             "rescan (linear, the equivalence oracle)")
     args = parser.parse_args(argv)
 
     from repro.observe import (
@@ -239,7 +233,7 @@ def main_run(argv: list[str] | None = None) -> int:
     from repro.sim.cloud import CloudPlatform
     from repro.sim.cluster import CampusCluster
     from repro.sim.engine import Simulator
-    from repro.sim.grid import GridConfig, OpportunisticGrid
+    from repro.sim.grid import OpportunisticGrid
     from repro.sim.rng import RngStreams
     from repro.wms.monitor import write_trace
 
@@ -412,11 +406,8 @@ def main_run(argv: list[str] | None = None) -> int:
         env = CloudPlatform(simulator, streams=streams, bus=bus,
                             injector=injector)
     else:
-        env = OpportunisticGrid(
-            simulator, GridConfig(matchmaker=args.grid_matchmaker),
-            streams=streams, bus=bus,
-            injector=injector, blacklist=blacklist,
-        )
+        env = OpportunisticGrid(simulator, streams=streams, bus=bus,
+                                injector=injector, blacklist=blacklist)
 
     sampler = None
 

@@ -18,13 +18,10 @@ from repro.observe.bus import EventBus, EventRecorder
 from repro.resilience.blacklist import Blacklist, BlacklistPolicy
 from repro.sim.engine import Simulator
 from repro.sim.failures import NO_FAILURES
+from repro.sim import grid as grid_module
 from repro.sim.grid import GridConfig, GridSiteConfig, OpportunisticGrid
 from repro.sim.machine import MachineSpec
-from repro.sim.matchmaker import (
-    IndexedMatchmaker,
-    LinearMatchmaker,
-    create_matchmaker,
-)
+from repro.sim.matchmaker import IndexedMatchmaker, LinearMatchmaker
 from repro.sim.rng import RngStreams
 
 
@@ -204,10 +201,6 @@ class TestCaching:
         with pytest.raises(ValueError):
             LinearMatchmaker([_machine("a"), _machine("a")])
 
-    def test_unknown_strategy_refused(self):
-        with pytest.raises(ValueError):
-            create_matchmaker("quantum", [_machine("a")])
-
 
 class TestDispatchCostRegression:
     """Satellite 1: a non-matching head-of-line job must not cost
@@ -301,14 +294,18 @@ class TestRedispatchGuard:
         assert grid.busy_slots == 0
 
 
-def _run_grid_trace(matchmaker: str, *, seed: int = 11):
+def _run_grid_trace(matchmaker: type, *, seed: int = 11):
+    """One seeded grid run with ``matchmaker`` substituted for the
+    grid's own :class:`IndexedMatchmaker`."""
     simulator = Simulator()
     bus = EventBus()
     recorder = EventRecorder(bus)
-    config = GridConfig(matchmaker=matchmaker)
-    grid = OpportunisticGrid(
-        simulator, config, streams=RngStreams(seed=seed), bus=bus
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid_module, "IndexedMatchmaker", matchmaker)
+        grid = OpportunisticGrid(
+            simulator, GridConfig(), streams=RngStreams(seed=seed), bus=bus
+        )
+    assert type(grid.matchmaker) is matchmaker
     dag = Dag()
     for i in range(60):
         req = (
@@ -329,8 +326,8 @@ def _run_grid_trace(matchmaker: str, *, seed: int = 11):
 
 class TestGridTraceParity:
     def test_indexed_grid_run_identical_to_linear(self):
-        r_lin, seq_lin, g_lin = _run_grid_trace("linear")
-        r_idx, seq_idx, g_idx = _run_grid_trace("indexed")
+        r_lin, seq_lin, g_lin = _run_grid_trace(LinearMatchmaker)
+        r_idx, seq_idx, g_idx = _run_grid_trace(IndexedMatchmaker)
         assert r_lin.success and r_idx.success
         assert seq_idx == seq_lin
         assert r_idx.wall_time == r_lin.wall_time
@@ -348,7 +345,7 @@ class TestGridTraceParity:
     @given(st.integers(min_value=0, max_value=30))
     @settings(max_examples=10, deadline=None)
     def test_parity_across_seeds(self, seed):
-        r_lin, seq_lin, _ = _run_grid_trace("linear", seed=seed)
-        r_idx, seq_idx, _ = _run_grid_trace("indexed", seed=seed)
+        r_lin, seq_lin, _ = _run_grid_trace(LinearMatchmaker, seed=seed)
+        r_idx, seq_idx, _ = _run_grid_trace(IndexedMatchmaker, seed=seed)
         assert seq_idx == seq_lin
         assert r_idx.wall_time == r_lin.wall_time

@@ -8,9 +8,9 @@ shared :class:`~repro.sim.platform.Platform` kernel existed, so any
 change to event order, RNG draw order, record contents or counter
 accounting shows up here as a mismatch.
 
-To inspect a mismatch, print ``_fingerprint(name)`` for the regime and
-compare the readable payloads (``_payloads``) against a checkout of the
-old code.
+To inspect a mismatch, compare the readable payloads that
+``_payloads(platform, regime)`` returns against a checkout of the old
+code.
 """
 
 from __future__ import annotations

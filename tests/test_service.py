@@ -21,8 +21,10 @@ from repro.service.service import (
     WorkflowState,
 )
 from repro.service.tenants import TenantConfig, TenantQuota
+from repro.sim.cloud import CloudConfig, CloudPlatform
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator
+from repro.sim.grid import GridConfig, GridSiteConfig, OpportunisticGrid
 from repro.sim.rng import RngStreams
 
 SERVICE_KINDS = (
@@ -463,3 +465,53 @@ class TestRestoreCompletions:
         report = service.slo_report()["alice"]
         assert report["account"]["workflows_completed"] == 1
         assert report["turnaround_s"]["count"] == 1
+
+
+class TestPlatformCapacity:
+    """Every simulated platform advertises ``capacity`` (the default
+    ``max_in_flight``) and ``busy_slots``."""
+
+    def test_service_runs_on_the_cloud_model(self):
+        # Regression: the cloud model advertised no capacity, so
+        # WorkflowService refused it with "environment advertises no
+        # capacity".
+        simulator = Simulator()
+        env = CloudPlatform(simulator, CloudConfig(max_instances=3),
+                            streams=RngStreams(seed=5))
+        service = WorkflowService(env)
+        service.add_tenant(TenantConfig(name="alice"))
+        in_flight = []
+        original = env.submit
+
+        def spy(job, on_complete, *, attempt=1):
+            in_flight.append(service.in_flight)
+            original(job, on_complete, attempt=attempt)
+
+        env.submit = spy
+        handle = service.submit("alice", _parallel_dag("wide", 8))
+        service.run()
+        assert handle.result.success
+        assert max(in_flight) <= 3
+        assert env.peak_instances == 3
+        assert env.busy_slots == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda sim: (CampusCluster(sim, CampusClusterConfig(group_slots=5)),
+                     5),
+        lambda sim: (OpportunisticGrid(sim, GridConfig(
+            sites=(GridSiteConfig("a", 4), GridSiteConfig("b", 2)))), 6),
+        lambda sim: (CloudPlatform(sim, CloudConfig(max_instances=9)), 9),
+    ], ids=["cluster", "grid", "cloud"])
+    def test_capacity_and_busy_slots(self, build):
+        simulator = Simulator()
+        env, capacity = build(simulator)
+        assert env.capacity == capacity
+        assert env.busy_slots == 0
+        done = []
+        env.submit(DagJob(name="j", transformation="blast2cap3",
+                          runtime=10.0), done.append)
+        assert env.busy_slots == 1  # reserved from match time
+        env.run_until_complete()
+        assert len(done) == 1
+        assert env.busy_slots == 0
+
