@@ -19,6 +19,7 @@ Three entry points:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Literal, Mapping
@@ -449,7 +450,7 @@ def simulate_paper_run(
         ).start()
     env.run_until_complete()
     result = scheduler.finish()
-    _LAST_ENVIRONMENTS[id(result)] = env
+    _remember_environment(result, env)
     return result, planned
 
 
@@ -529,22 +530,28 @@ def simulate_paper_run_with_recovery(
         planned.dag, env, max_rounds=max_rounds, bus=bus,
         retry_policy=retry_policy,
     )
-    _LAST_ENVIRONMENTS[id(outcome)] = env
+    _remember_environment(outcome, env)
     return outcome, planned
 
 
-#: Weak side-channel: environments of recent runs, keyed by result id,
-#: so cost-aware callers can reach the CloudPlatform accounting without
-#: changing the common return shape. Bounded to the latest few entries.
+#: Side-channel from a result to the environment that produced it, so
+#: cost-aware callers can reach the CloudPlatform accounting without
+#: changing the common return shape. Keyed by result id; each entry is
+#: dropped when its result is freed (see :func:`_remember_environment`),
+#: so the map never outlives a result or aliases a recycled id.
 _LAST_ENVIRONMENTS: dict[int, object] = {}
 
 
+def _remember_environment(result: object, env: object) -> None:
+    key = id(result)
+    _LAST_ENVIRONMENTS[key] = env
+    weakref.finalize(result, _LAST_ENVIRONMENTS.pop, key, None)
+
+
 def environment_for(result: DagmanResult) -> object | None:
-    """The execution environment that produced ``result`` (if recent)."""
-    env = _LAST_ENVIRONMENTS.get(id(result))
-    while len(_LAST_ENVIRONMENTS) > 32:
-        _LAST_ENVIRONMENTS.pop(next(iter(_LAST_ENVIRONMENTS)))
-    return env
+    """The execution environment that produced ``result`` (``None`` for
+    results this module did not produce)."""
+    return _LAST_ENVIRONMENTS.get(id(result))
 
 
 def workflow_figure(adag: ADag, *, osg: bool = False) -> DotGraph:

@@ -4,7 +4,10 @@ Both execution backends (the real local executor and the discrete-event
 platform simulators) emit one :class:`JobAttempt` per try of each job.
 ``pegasus-statistics`` style reports (:mod:`repro.wms.statistics`) are
 pure functions over a :class:`WorkflowTrace`, so the same reporting code
-analyses real and simulated runs.
+analyses real and simulated runs. :meth:`JobAttempt.to_json` and
+:meth:`JobAttempt.from_json` are the one on-disk form of an attempt:
+``trace.jsonl`` lines, the terminal lines of ``events.jsonl`` and the
+write-ahead journal all go through them.
 
 Timestamp semantics (all in the backend's clock):
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = ["JobStatus", "ResourceProfile", "JobAttempt", "WorkflowTrace"]
 
@@ -152,6 +155,52 @@ class JobAttempt:
     def total_time(self) -> float:
         return self.exec_end - self.submit_time
 
+    def to_json(self) -> dict[str, object]:
+        """The monitord-style attempt record (one log line's fields):
+        the identity and timestamps, then ``status``, then ``error`` and
+        ``profile`` only when set. Keys are the dataclass field names."""
+        record: dict[str, object] = {
+            "job_name": self.job_name,
+            "transformation": self.transformation,
+            "site": self.site,
+            "machine": self.machine,
+            "attempt": self.attempt,
+            "submit_time": self.submit_time,
+            "setup_start": self.setup_start,
+            "exec_start": self.exec_start,
+            "exec_end": self.exec_end,
+            "status": self.status.value,
+        }
+        if self.error:
+            record["error"] = self.error
+        if self.profile is not None:
+            record["profile"] = self.profile.to_json()
+        return record
+
+    @classmethod
+    def from_json(cls, data: Mapping[str, Any]) -> "JobAttempt":
+        """Inverse of :meth:`to_json`. Other keys (an event line's
+        ``event``, ``t`` and detail) are ignored."""
+        profile = data.get("profile")
+        return cls(
+            job_name=data["job_name"],
+            transformation=data["transformation"],
+            site=data["site"],
+            machine=data["machine"],
+            attempt=data["attempt"],
+            submit_time=data["submit_time"],
+            setup_start=data["setup_start"],
+            exec_start=data["exec_start"],
+            exec_end=data["exec_end"],
+            status=JobStatus(data["status"]),
+            error=data.get("error"),
+            profile=(
+                ResourceProfile.from_json(profile)
+                if isinstance(profile, dict)
+                else None
+            ),
+        )
+
 
 @dataclass
 class WorkflowTrace:
@@ -174,6 +223,23 @@ class WorkflowTrace:
             (a for a in self.attempts if a.job_name == job_name),
             key=lambda a: a.attempt,
         )
+
+    def final_attempts(self) -> dict[str, JobAttempt]:
+        """Each job's chronologically last attempt, keyed by job name
+        in order of first appearance.
+
+        Ordered by submit time, then attempt number: rescue rounds
+        restart attempt numbering at 1, so on a merged multi-round
+        trace the highest attempt number is not the last attempt.
+        """
+        final: dict[str, JobAttempt] = {}
+        for a in self.attempts:
+            prior = final.get(a.job_name)
+            if prior is None or (a.submit_time, a.attempt) > (
+                prior.submit_time, prior.attempt
+            ):
+                final[a.job_name] = a
+        return final
 
     def successful(self) -> list[JobAttempt]:
         """The final successful attempt of every job that succeeded."""

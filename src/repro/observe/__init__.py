@@ -19,6 +19,13 @@ those numbers and the live view both come from:
   queue-wait spikes, blacklist storms, SLO burn);
 * :mod:`repro.observe.report` — ``repro-report`` analyze/compare CLI.
 
+Finished attempts leave a run one way, as the bus's terminal events
+(each carries its whole :class:`~repro.dagman.events.JobAttempt`), and
+each reporting question has one reducer over the trace they fold into:
+:func:`events_to_trace` rebuilds it, :func:`repro.wms.statistics.summarize`
+gives the pegasus-statistics numbers and :func:`attribute_makespan`
+the critical-path breakdown.
+
 One run, fully observed::
 
     bus = EventBus()
@@ -28,6 +35,7 @@ One run, fully observed::
                                          sample_interval_s=120.0)
     write_events("events.jsonl", recorder.events)
     write_chrome_trace("trace.json", result.trace)
+    stats = summarize(events_to_trace(recorder.events), dag=planned.dag)
 """
 
 from repro.observe.analysis import (
@@ -46,7 +54,6 @@ from repro.observe.anomaly import (
 from repro.observe.bus import (
     EventBus,
     EventRecorder,
-    TraceCollector,
     events_to_trace,
 )
 from repro.observe.chrome_trace import chrome_trace, write_chrome_trace
@@ -75,10 +82,8 @@ from repro.observe.sampler import UtilizationSample, UtilizationSampler
 from repro.observe.status import StatusView, render_status
 from repro.observe.trace import (
     Span,
-    SpanCriticalPath,
     SpanLink,
     SpanTracer,
-    critical_path_from_spans,
     derive_span_id,
     derive_trace_id,
     spans_created,
@@ -95,7 +100,6 @@ __all__ = [
     "attribute_makespan",
     "EventBus",
     "EventRecorder",
-    "TraceCollector",
     "events_to_trace",
     "chrome_trace",
     "write_chrome_trace",
@@ -129,10 +133,8 @@ __all__ = [
     "SloBurnDetector",
     "StragglerDetector",
     "Span",
-    "SpanCriticalPath",
     "SpanLink",
     "SpanTracer",
-    "critical_path_from_spans",
     "derive_span_id",
     "derive_trace_id",
     "spans_created",

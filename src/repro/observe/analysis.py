@@ -144,15 +144,14 @@ class MakespanAttribution:
         return out
 
 
-def _final_attempts(trace: WorkflowTrace) -> dict[str, JobAttempt]:
-    """Each job's last attempt (retries can only move exec_end later,
-    so this is also each job's latest-finishing attempt)."""
-    final: dict[str, JobAttempt] = {}
+def _first_submits(trace: WorkflowTrace) -> dict[str, float]:
+    """Each job's earliest submit time over all its attempts."""
+    first: dict[str, float] = {}
     for a in trace:
-        prior = final.get(a.job_name)
-        if prior is None or a.attempt > prior.attempt:
-            final[a.job_name] = a
-    return final
+        prior = first.get(a.job_name)
+        if prior is None or a.submit_time < prior:
+            first[a.job_name] = a.submit_time
+    return first
 
 
 def _chain_from_dag(trace: WorkflowTrace, dag: "Dag") -> list[JobAttempt]:
@@ -161,30 +160,29 @@ def _chain_from_dag(trace: WorkflowTrace, dag: "Dag") -> list[JobAttempt]:
     return critical_path(trace, dag, attempts="final")
 
 
-def _chain_from_timeline(trace: WorkflowTrace) -> list[JobAttempt]:
+def _chain_from_timeline(
+    trace: WorkflowTrace, first_submit: dict[str, float]
+) -> list[JobAttempt]:
     """DAG-free fallback: hop backward to the latest-finishing job that
     was first submitted strictly before the current one."""
-    final = _final_attempts(trace)
+    final = trace.final_attempts()
     if not final:
         return []
-    first_submit = {
-        name: min(a.submit_time for a in trace.for_job(name))
-        for name in final
-    }
     current = max(final.values(), key=lambda a: a.exec_end)
     chain = [current]
+    on_chain = {current.job_name}
     while True:
         cutoff = first_submit[current.job_name]
         candidates = [
             a for name, a in final.items()
-            if name not in {c.job_name for c in chain}
-            and first_submit[name] < cutoff - _EPS
+            if name not in on_chain and first_submit[name] < cutoff - _EPS
         ]
         if not candidates:
             break
         # The gating proxy: whoever finished last among earlier starters.
         current = max(candidates, key=lambda a: a.exec_end)
         chain.append(current)
+        on_chain.add(current.job_name)
     chain.reverse()
     return chain
 
@@ -205,10 +203,11 @@ def attribute_makespan(
             buckets={b: 0.0 for b in BUCKETS},
             method="critical-path" if dag is not None else "timeline",
         )
+    first_submit = _first_submits(trace)
     chain = (
         _chain_from_dag(trace, dag)
         if dag is not None
-        else _chain_from_timeline(trace)
+        else _chain_from_timeline(trace, first_submit)
     )
     start_s = min(a.submit_time for a in trace)
     end_s = max(a.exec_end for a in trace)
@@ -234,10 +233,6 @@ def attribute_makespan(
         buckets[bucket] += seg.duration
         cursor = until
 
-    first_submit = {
-        a.job_name: min(x.submit_time for x in trace.for_job(a.job_name))
-        for a in chain
-    }
     for a in chain:
         # Gap between the previous path job finishing and this job's
         # first submit: scheduler latency, not any job's fault.

@@ -2,8 +2,8 @@
 
 Each event is one self-contained JSON line, so logs stream, append,
 tail, and survive crashes. The schema is a **superset** of the attempt
-schema in :mod:`repro.wms.monitor`: terminal events (``job.finish`` /
-``job.evict``) carry every field of the old per-attempt lines plus an
+lines of :mod:`repro.wms.monitor`: terminal events (``job.finish`` /
+``job.evict``) carry the whole :meth:`JobAttempt.to_json` record plus an
 ``event`` discriminator and an event timestamp ``t``. Consequently:
 
 * :func:`repro.wms.monitor.read_trace` reads an event log and recovers
@@ -15,12 +15,13 @@ schema in :mod:`repro.wms.monitor`: terminal events (``job.finish`` /
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from repro.dagman.events import JobAttempt, JobStatus, ResourceProfile
+from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus
-from repro.observe.events import EventKind, RunEvent
+from repro.observe.events import TERMINAL_KINDS, EventKind, RunEvent
 
 __all__ = [
     "EventLogWriter",
@@ -33,17 +34,11 @@ __all__ = [
     "iter_events",
 ]
 
-#: The per-attempt fields shared with :mod:`repro.wms.monitor`.
-ATTEMPT_FIELDS = (
-    "job_name",
-    "transformation",
-    "site",
-    "machine",
-    "attempt",
-    "submit_time",
-    "setup_start",
-    "exec_start",
-    "exec_end",
+#: Keys :func:`event_from_json` does not copy into ``detail``: the
+#: event header and the attempt record (:meth:`JobAttempt.to_json`
+#: writes the dataclass field names).
+_RECORD_KEYS = frozenset(
+    {"event", "t", *(f.name for f in fields(JobAttempt))}
 )
 
 
@@ -87,36 +82,19 @@ def event_to_json_line(event: RunEvent) -> str:
 
 def _flatten(event: RunEvent) -> dict:
     out: dict[str, object] = {"event": event.kind.value, "t": event.time}
-    for name in ("job_name", "transformation", "site", "machine", "attempt"):
-        value = getattr(event, name)
-        if value is not None:
-            out[name] = value
     if event.record is not None:
-        for name in ATTEMPT_FIELDS:
-            out[name] = getattr(event.record, name)
-        out["status"] = event.record.status.value
-        if event.record.error:
-            out["error"] = event.record.error
-        if event.record.profile is not None:
-            out["profile"] = event.record.profile.to_json()
+        # A terminal event's identity fields are its record's, which
+        # lead the record in the same order.
+        out.update(event.record.to_json())
+    else:
+        for name in ("job_name", "transformation", "site", "machine", "attempt"):
+            value = getattr(event, name)
+            if value is not None:
+                out[name] = value
     if event.detail:
         for key, value in event.detail.items():
             out.setdefault(key, value)
     return out
-
-
-def _record_from(data: dict) -> JobAttempt:
-    profile = data.get("profile")
-    return JobAttempt(
-        status=JobStatus(data["status"]),
-        error=data.get("error"),
-        profile=(
-            ResourceProfile.from_json(profile)
-            if isinstance(profile, dict)
-            else None
-        ),
-        **{name: data[name] for name in ATTEMPT_FIELDS},
-    )
 
 
 def event_from_json(data: dict) -> RunEvent:
@@ -126,13 +104,9 @@ def event_from_json(data: dict) -> RunEvent:
     :func:`repro.wms.monitor.write_trace`; they become the terminal
     event of that attempt (``job.finish`` or ``job.evict``).
     """
-    known = {
-        "event", "t", "job_name", "transformation", "site", "machine",
-        "attempt", "status", "error", "profile", *ATTEMPT_FIELDS,
-    }
-    detail = {k: v for k, v in data.items() if k not in known}
+    detail = {k: v for k, v in data.items() if k not in _RECORD_KEYS}
     if "event" not in data:  # legacy monitor.py line
-        record = _record_from(data)
+        record = JobAttempt.from_json(data)
         kind = (
             EventKind.EVICT
             if record.status is JobStatus.EVICTED
@@ -160,7 +134,7 @@ def event_from_json(data: dict) -> RunEvent:
         site=data.get("site"),
         machine=data.get("machine"),
         attempt=data.get("attempt"),
-        record=_record_from(data) if kind in (EventKind.FINISH, EventKind.EVICT) else None,
+        record=JobAttempt.from_json(data) if kind in TERMINAL_KINDS else None,
         detail=detail,
     )
 

@@ -34,6 +34,7 @@ from repro.observe.analysis import (
 )
 from repro.observe.metrics import Histogram
 from repro.util.units import format_duration
+from repro.wms.statistics import per_site, summarize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dagman.dag import Dag
@@ -85,50 +86,30 @@ def dag_from_plan_meta(meta: dict) -> "Dag":
     return dag
 
 
-def _try_read_events(path: Path) -> "list | None":
-    """The full event stream when ``path`` is an observe event log
-    (``None`` for classic attempt logs, which carry no lifecycle
-    events to fold into spans)."""
-    from repro.observe.log import read_events
-
-    try:
-        events = read_events(path)
-    except (KeyError, ValueError):
-        return None
-    return events or None
-
-
 def _load_trace_and_dag(
     path: Path,
-) -> tuple[WorkflowTrace, "Dag | None", dict | None, "list | None", str]:
-    """(trace, dag, metrics, events, label) from a run directory or
-    log file."""
+) -> tuple[WorkflowTrace, "Dag | None", dict | None, str]:
+    """(trace, dag, metrics, label) from a run directory or log file."""
     from repro.wms.monitor import read_trace
 
+    if not path.is_dir():
+        # A bare JSONL log (classic trace or observe event log).
+        return read_trace(path), None, None, path.stem
+    source = path / "events.jsonl"
+    if not source.exists():
+        source = path / "trace.jsonl"
+    if not source.exists():
+        raise FileNotFoundError(f"no events.jsonl or trace.jsonl under {path}")
+    trace = read_trace(source)
     dag = None
+    plan = path / "plan.json"
+    if plan.exists():
+        dag = dag_from_plan_meta(json.loads(plan.read_text()))
     metrics = None
-    events_list = None
-    if path.is_dir():
-        events = path / "events.jsonl"
-        trace_log = path / "trace.jsonl"
-        source = events if events.exists() else trace_log
-        if not source.exists():
-            raise FileNotFoundError(
-                f"no events.jsonl or trace.jsonl under {path}"
-            )
-        trace = read_trace(source)
-        if events.exists():
-            events_list = _try_read_events(events)
-        plan = path / "plan.json"
-        if plan.exists():
-            dag = dag_from_plan_meta(json.loads(plan.read_text()))
-        metrics_path = path / "metrics.json"
-        if metrics_path.exists():
-            metrics = json.loads(metrics_path.read_text())
-        return trace, dag, metrics, events_list, path.name or str(path)
-    # A bare JSONL log (classic trace or observe event log).
-    trace = read_trace(path)
-    return trace, None, None, _try_read_events(path), path.stem
+    metrics_path = path / "metrics.json"
+    if metrics_path.exists():
+        metrics = json.loads(metrics_path.read_text())
+    return trace, dag, metrics, path.name or str(path)
 
 
 def load_report(path: str | Path, *, label: str | None = None) -> dict:
@@ -152,10 +133,9 @@ def load_report(path: str | Path, *, label: str | None = None) -> dict:
         if label:
             data["label"] = label
         return data
-    trace, dag, metrics, events, inferred = _load_trace_and_dag(path)
+    trace, dag, metrics, inferred = _load_trace_and_dag(path)
     return build_report(
-        trace, dag=dag, metrics=metrics, events=events,
-        label=label or inferred,
+        trace, dag=dag, metrics=metrics, label=label or inferred
     )
 
 
@@ -194,83 +174,17 @@ def _profile_rollup(trace: WorkflowTrace) -> dict | None:
     }
 
 
-def _trace_section(events: list, at: object) -> dict | None:
-    """Span cross-check: fold the event stream into causal spans,
-    re-derive the critical path purely from spans and links, and
-    compare bucket-for-bucket against the event-record attribution.
-    The two decompositions come from independent code paths, so
-    agreement is a strong self-check on both."""
-    from repro.observe.trace import (
-        critical_path_from_spans,
-        spans_from_events,
-    )
-
-    spans = spans_from_events(events)
-    if not spans:
-        return None
-    cp = critical_path_from_spans(spans)
-    deltas = {
-        b: cp.buckets[b] - at.buckets[b]  # type: ignore[attr-defined]
-        for b in BUCKETS
-    }
-    max_delta = max(abs(v) for v in deltas.values())
-    tolerance = max(
-        1e-6,
-        0.001 * max(cp.makespan_s, at.makespan_s),  # type: ignore[attr-defined]
-    )
-    return {
-        "spans": len(spans),
-        "trace_id": spans[0].trace_id,
-        "makespan_s": cp.makespan_s,
-        "buckets": {b: cp.buckets[b] for b in BUCKETS},
-        "tiling_total_s": cp.total(),
-        "path_jobs": cp.path_jobs,
-        "max_bucket_delta_s": max_delta,
-        "agrees_with_attribution": max_delta <= tolerance,
-    }
-
-
 def build_report(
     trace: WorkflowTrace,
     *,
     dag: "Dag | None" = None,
     metrics: Mapping[str, object] | None = None,
-    events: "list | None" = None,
     label: str = "run",
 ) -> dict:
-    """One run's full attribution report as JSON-able primitives.
-
-    ``events`` (the full lifecycle stream, when the run recorded one)
-    adds a ``trace`` section: the span-derived critical path
-    cross-checked against the attribution buckets.
-    """
+    """One run's full attribution report as JSON-able primitives."""
     at = attribute_makespan(trace, dag)
+    stats = summarize(trace)
     successes = trace.successful()
-
-    per_transformation: dict[str, dict[str, float]] = {}
-    groups: dict[str, list] = {}
-    for a in successes:
-        groups.setdefault(a.transformation, []).append(a)
-    for name in sorted(groups):
-        attempts = groups[name]
-        per_transformation[name] = {
-            "count": len(attempts),
-            "kickstart_mean": sum(a.kickstart_time for a in attempts) / len(attempts),
-            "kickstart_max": max(a.kickstart_time for a in attempts),
-            "waiting_mean": sum(a.waiting_time for a in attempts) / len(attempts),
-            "setup_mean": sum(a.download_install_time for a in attempts) / len(attempts),
-        }
-
-    per_site: dict[str, dict[str, float]] = {}
-    for a in trace:
-        row = per_site.setdefault(
-            a.site, {"attempts": 0, "failures": 0, "kickstart_total": 0.0}
-        )
-        row["attempts"] += 1
-        if not a.status.is_success:
-            row["failures"] += 1
-        else:
-            row["kickstart_total"] += a.kickstart_time
 
     # Group the path tiling per job for the report's path table.
     path_rows: dict[str, dict] = {}
@@ -302,9 +216,9 @@ def build_report(
         "cumulative": aggregate_components(trace),
         "counts": {
             "attempts": len(trace),
-            "jobs_succeeded": len(successes),
-            "failures": len(trace.failures()),
-            "retries": trace.retry_count,
+            "jobs_succeeded": stats.succeeded_jobs,
+            "failures": stats.failed_attempts,
+            "retries": stats.retries,
             "evictions": sum(
                 1 for a in trace if a.status is JobStatus.EVICTED
             ),
@@ -322,15 +236,27 @@ def build_report(
             ]
         ),
         "profile": _profile_rollup(trace),
-        "per_transformation": per_transformation,
-        "per_site": per_site,
+        "per_transformation": {
+            t.transformation: {
+                "count": t.count,
+                "kickstart_mean": t.mean_kickstart,
+                "kickstart_max": t.max_kickstart,
+                "waiting_mean": t.mean_waiting,
+                "setup_mean": t.mean_download_install,
+            }
+            for t in stats.transformations
+        },
+        "per_site": {
+            s.site: {
+                "attempts": s.jobs + s.failures,
+                "failures": s.failures,
+                "kickstart_total": s.total_kickstart,
+            }
+            for s in per_site(trace)
+        },
     }
     if metrics is not None:
         report["metrics"] = metrics
-    if events:
-        section = _trace_section(events, at)
-        if section is not None:
-            report["trace"] = section
     return report
 
 
@@ -409,32 +335,6 @@ def render_markdown(report: dict) -> str:
         f"retries {counts['retries']}, evictions {counts['evictions']}, "
         f"timeouts {counts['timeouts']}.",
     ]
-    trace_section = report.get("trace")
-    if trace_section:
-        agrees = (
-            "agrees with"
-            if trace_section["agrees_with_attribution"]
-            else "**DISAGREES** with"
-        )
-        buckets = trace_section["buckets"]
-        lines += [
-            "",
-            "## Trace-derived critical path (span cross-check)",
-            "",
-            f"{trace_section['spans']} spans "
-            f"(trace `{trace_section['trace_id']}`); span tiling sums to "
-            f"{_fmt_s(trace_section['tiling_total_s'])} s over a "
-            f"{_fmt_s(trace_section['makespan_s'])} s makespan and "
-            f"{agrees} the event-record attribution "
-            f"(max bucket delta "
-            f"{trace_section['max_bucket_delta_s']:.3f} s).",
-            "",
-            "| " + " | ".join(BUCKETS) + " |",
-            "|" + "---:|" * len(BUCKETS),
-            "| " + " | ".join(
-                _fmt_s(float(buckets[b])) for b in BUCKETS
-            ) + " |",
-        ]
     profile = report.get("profile")
     if profile:
         lines += [

@@ -57,10 +57,10 @@ TracePackets, machine-lane slices) complement the existing Chrome
 trace. Both stream compact single-line JSON through the C encoder
 into an atomically replaced file; :func:`to_otlp_json` and
 :func:`to_perfetto_json` are the materialised documents they encode.
-:func:`critical_path_from_spans` re-derives the PR 5 makespan
-attribution purely from spans and their causal links, which
-``repro-report analyze`` cross-checks against
-:func:`~repro.observe.analysis.attribute_makespan`.
+:func:`spans_from_events` folds a recorded event stream offline.
+Makespan attribution stays with
+:func:`~repro.observe.analysis.attribute_makespan`; the test suite
+re-derives it from spans and their ``released_by`` links as an oracle.
 """
 
 from __future__ import annotations
@@ -81,8 +81,6 @@ __all__ = [
     "Span",
     "SpanLink",
     "SpanTracer",
-    "SpanCriticalPath",
-    "critical_path_from_spans",
     "derive_span_id",
     "derive_trace_id",
     "spans_created",
@@ -650,114 +648,6 @@ def spans_from_events(
     for event in events:
         tracer(event)
     return tracer.finish()
-
-
-# -- trace-derived critical path -------------------------------------
-
-
-@dataclass
-class SpanCriticalPath:
-    """The makespan re-derived purely from spans and causal links.
-
-    ``buckets`` uses the same five-way split as
-    :class:`~repro.observe.analysis.MakespanAttribution` and tiles
-    ``[start_s, end_s]`` exactly, so it can be cross-checked
-    bucket-for-bucket against the event-record attribution.
-    """
-
-    makespan_s: float
-    start_s: float
-    end_s: float
-    buckets: dict[str, float]
-    path_jobs: list[str] = field(default_factory=list)
-
-    def total(self) -> float:
-        return sum(self.buckets.values())
-
-
-def critical_path_from_spans(spans: Sequence[Span]) -> SpanCriticalPath:
-    """Walk ``released_by`` links backward from the last-finishing
-    attempt and tile the makespan into the standard five buckets.
-
-    The chain hop uses the *causal* edge the scheduler recorded (which
-    parent's completion released each job), so on a clean run it
-    reproduces :func:`repro.wms.statistics.critical_path` — the parent
-    that flips the pending count to zero is by definition the
-    latest-finishing parent.
-    """
-    from repro.observe.analysis import BUCKETS
-
-    buckets = {b: 0.0 for b in BUCKETS}
-    attempts = [
-        s
-        for s in spans
-        if s.kind == "attempt" and s.end is not None and "exec_end" in s.attributes
-    ]
-    if not attempts:
-        return SpanCriticalPath(0.0, 0.0, 0.0, buckets)
-    released_by = {
-        str(s.attributes["job"]): str(s.attributes["released_by"])
-        for s in spans
-        if s.kind == "job" and "released_by" in s.attributes
-    }
-
-    def _num(span: Span, attr: str) -> float:
-        return float(span.attributes[attr])  # type: ignore[arg-type]
-
-    final: dict[str, Span] = {}
-    first_submit: dict[str, float] = {}
-    for s in attempts:
-        job = str(s.attributes["job"])
-        submit = _num(s, "submit_time")
-        first_submit[job] = min(first_submit.get(job, submit), submit)
-        prior = final.get(job)
-        if prior is None or int(s.attributes["attempt"]) > int(  # type: ignore[call-overload]
-            prior.attributes["attempt"]
-        ):
-            final[job] = s
-    start_s = min(first_submit.values())
-    end_s = max(_num(s, "exec_end") for s in attempts)
-
-    current = max(
-        final.values(),
-        key=lambda s: (_num(s, "exec_end"), str(s.attributes["job"])),
-    )
-    chain = [current]
-    seen = {str(current.attributes["job"])}
-    while True:
-        parent = released_by.get(str(chain[-1].attributes["job"]))
-        if parent is None or parent in seen or parent not in final:
-            break
-        seen.add(parent)
-        chain.append(final[parent])
-    chain.reverse()
-
-    cursor = start_s
-
-    def tile(until: float, bucket: str) -> None:
-        nonlocal cursor
-        capped = min(until, end_s)
-        if capped <= cursor + _EPS:
-            return
-        buckets[bucket] += capped - cursor
-        cursor = capped
-
-    for s in chain:
-        job = str(s.attributes["job"])
-        tile(first_submit[job], "idle")
-        tile(_num(s, "submit_time"), "retry_lost")
-        tile(_num(s, "setup_start"), "waiting")
-        tile(_num(s, "exec_start"), "setup")
-        tile(_num(s, "exec_end"), "exec")
-    tile(end_s, "idle")
-
-    return SpanCriticalPath(
-        makespan_s=end_s - start_s,
-        start_s=start_s,
-        end_s=end_s,
-        buckets=buckets,
-        path_jobs=[str(s.attributes["job"]) for s in chain],
-    )
 
 
 # -- streamed JSON documents ------------------------------------------

@@ -1,8 +1,11 @@
 """Trace persistence: the monitord-style JSONL event log.
 
-Every finished attempt becomes one JSON line, so logs stream, append,
-and survive crashes (each line is self-contained). ``pegasus-status``
-style progress summaries read the same file.
+Every finished attempt becomes one JSON line, the record of
+:meth:`~repro.dagman.events.JobAttempt.to_json`, so each line is
+self-contained. ``pegasus-status`` style progress summaries read the
+same file. To stream attempts while a run is going, subscribe a
+:class:`repro.observe.log.EventLogWriter` to its bus: :func:`read_trace`
+reads that event log too.
 """
 
 from __future__ import annotations
@@ -11,64 +14,19 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from repro.dagman.events import (
-    JobAttempt,
-    JobStatus,
-    ResourceProfile,
-    WorkflowTrace,
-)
+from repro.dagman.events import JobAttempt, WorkflowTrace
+from repro.observe.events import TERMINAL_KINDS
 
-__all__ = ["write_trace", "read_trace", "append_attempt", "progress_line"]
+__all__ = ["write_trace", "read_trace", "progress_line"]
 
-_FIELDS = (
-    "job_name",
-    "transformation",
-    "site",
-    "machine",
-    "attempt",
-    "submit_time",
-    "setup_start",
-    "exec_start",
-    "exec_end",
-)
-
-
-def _to_dict(attempt: JobAttempt) -> dict:
-    record = {name: getattr(attempt, name) for name in _FIELDS}
-    record["status"] = attempt.status.value
-    if attempt.error:
-        record["error"] = attempt.error
-    if attempt.profile is not None:
-        record["profile"] = attempt.profile.to_json()
-    return record
-
-
-def _from_dict(record: dict) -> JobAttempt:
-    profile = record.get("profile")
-    return JobAttempt(
-        status=JobStatus(record["status"]),
-        error=record.get("error"),
-        profile=(
-            ResourceProfile.from_json(profile)
-            if isinstance(profile, dict)
-            else None
-        ),
-        **{name: record[name] for name in _FIELDS},
-    )
-
-
-def append_attempt(path: str | Path, attempt: JobAttempt) -> None:
-    """Append one attempt to a JSONL log (creating it if needed)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(_to_dict(attempt)) + "\n")
+#: ``event`` values of the log lines that carry a whole attempt record.
+_TERMINAL_EVENTS = frozenset(kind.value for kind in TERMINAL_KINDS)
 
 
 def write_trace(path: str | Path, trace: WorkflowTrace | Iterable[JobAttempt]) -> int:
     """Write a whole trace as JSONL; returns the attempt count."""
     attempts = list(trace)
-    payload = "".join(json.dumps(_to_dict(a)) + "\n" for a in attempts)
+    payload = "".join(json.dumps(a.to_json()) + "\n" for a in attempts)
     from repro.util.iolib import atomic_write
 
     atomic_write(path, payload)
@@ -90,9 +48,10 @@ def read_trace(path: str | Path) -> WorkflowTrace:
         if not line.strip():
             continue
         record = json.loads(line)
-        if not all(name in record for name in (*_FIELDS, "status")):
+        event = record.get("event")
+        if event is not None and event not in _TERMINAL_EVENTS:
             continue  # a non-terminal observe-layer event line
-        trace.add(_from_dict(record))
+        trace.add(JobAttempt.from_json(record))
     return trace
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "SiteStats",
     "WorkflowStatistics",
     "summarize",
-    "summarize_events",
     "per_transformation",
     "per_site",
     "critical_path",
@@ -144,7 +143,7 @@ def per_site(trace: WorkflowTrace) -> list[SiteStats]:
                 mean_kickstart=(
                     mean(a.kickstart_time for a in runs) if runs else 0.0
                 ),
-                total_kickstart=sum(a.kickstart_time for a in runs),
+                total_kickstart=sum((a.kickstart_time for a in runs), 0.0),
             )
         )
     return out
@@ -179,16 +178,14 @@ def critical_path(
     finished) or ``"final"`` — every job's last attempt regardless of
     status, so a workflow whose tail is a hard-failed job still has a
     path reaching the makespan's end (what the attribution engine in
-    :mod:`repro.observe.analysis` walks).
+    :mod:`repro.observe.analysis` walks). Either way "last" is
+    chronological (:meth:`WorkflowTrace.final_attempts`), so merged
+    rescue-round traces pick each job's latest round.
     """
     if attempts not in ("successful", "final"):
         raise ValueError(f"unknown attempts selector: {attempts!r}")
-    final_attempt: dict[str, JobAttempt] = {}
-    pool = trace.successful() if attempts == "successful" else trace
-    for attempt in pool:
-        prior = final_attempt.get(attempt.job_name)
-        if prior is None or attempt.attempt > prior.attempt:
-            final_attempt[attempt.job_name] = attempt
+    pool = WorkflowTrace(trace.successful()) if attempts == "successful" else trace
+    final_attempt = pool.final_attempts()
     if not final_attempt:
         return []
 
@@ -257,28 +254,6 @@ def summarize(
         unattempted_jobs=(
             planned - len(attempted_names) if planned is not None else 0
         ),
-    )
-
-
-def summarize_events(
-    events,
-    *,
-    dag=None,
-    expected_jobs: int | None = None,
-) -> WorkflowStatistics:
-    """Summarize straight from a :mod:`repro.observe` event stream.
-
-    The live view and the statistics report share one source of truth:
-    terminal events carry the full attempt records, so this is exactly
-    :func:`summarize` over the trace they reconstruct. ``events`` is
-    any iterable of :class:`repro.observe.events.RunEvent` (e.g. an
-    :class:`~repro.observe.bus.EventRecorder`'s capture, or
-    :func:`repro.observe.log.read_events` over a JSONL log).
-    """
-    from repro.observe.bus import events_to_trace
-
-    return summarize(
-        events_to_trace(events), dag=dag, expected_jobs=expected_jobs
     )
 
 

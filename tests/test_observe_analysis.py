@@ -141,6 +141,46 @@ def test_dag_guided_path_follows_dependencies():
     _sums_to_makespan(at)
 
 
+def _rescue_round_trace():
+    """``a`` succeeds; ``b`` fails as attempts 1 and 2 in round 1, then
+    succeeds as attempt 1 in round 2 (rescue rounds restart attempt
+    numbering at 1)."""
+    return WorkflowTrace([
+        _attempt(job="a", submit=0, setup=0, start=0, end=10),
+        _attempt(job="b", attempt=1, submit=10, setup=10, start=10, end=20,
+                 status=JobStatus.FAILED),
+        _attempt(job="b", attempt=2, submit=20, setup=20, start=20, end=30,
+                 status=JobStatus.FAILED),
+        _attempt(job="b", attempt=1, submit=80, setup=85, start=85,
+                 end=100),
+    ])
+
+
+def test_final_attempts_are_chronological_across_rescue_rounds():
+    trace = _rescue_round_trace()
+    final = trace.final_attempts()
+    assert list(final) == ["a", "b"]
+    assert final["b"].submit_time == 80 and final["b"].status.is_success
+
+
+@pytest.mark.parametrize("with_dag", [True, False])
+def test_merged_rescue_rounds_attribute_the_last_round(with_dag):
+    dag = Dag()
+    for name in ("a", "b"):
+        dag.add_job(DagJob(name=name, transformation="t", runtime=1.0))
+    dag.add_edge("a", "b")
+    at = attribute_makespan(_rescue_round_trace(), dag if with_dag else None)
+    assert at.makespan_s == pytest.approx(100.0)
+    assert at.path_jobs == ["a", "b"]
+    # b's first submit (10) to its round-2 submit (80) went to the
+    # failed round; nothing on the path is idle.
+    assert at.buckets["idle"] == 0.0
+    assert at.buckets["retry_lost"] == pytest.approx(70.0)
+    assert at.buckets["waiting"] == pytest.approx(5.0)
+    assert at.buckets["exec"] == pytest.approx(25.0)
+    _sums_to_makespan(at)
+
+
 def test_what_if_and_ranking():
     trace = WorkflowTrace([_attempt()])
     at = attribute_makespan(trace)

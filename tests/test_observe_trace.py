@@ -2,19 +2,24 @@
 
 Covers the deterministic ID scheme, the span hierarchy and every
 causal-link relation on scripted DAGs (released_by, retry_of,
-rescue_continuation, journal_resume), the trace-derived critical path
-cross-checked against the event-record makespan attribution
-(hypothesis-pinned over seeds), the OTLP-JSON and Perfetto exports,
+rescue_continuation, journal_resume), the span-derived critical path
+(a test oracle kept here, not in ``src/``) checked against the
+event-record makespan attribution on seeded runs of every platform, a
+chaos run and a two-round rescue run, the OTLP-JSON and Perfetto exports,
 the anomaly detector catalog, the status view's ALERTS pane, and the
 journal round-trip that lets a resumed run extend its pre-crash trace.
 """
 
 import json
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.workflow_factory import simulate_paper_run
+from repro.core.workflow_factory import (
+    simulate_paper_run,
+    simulate_paper_run_with_recovery,
+)
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.scheduler import DagmanScheduler
 from repro.observe import (
@@ -31,7 +36,6 @@ from repro.observe import (
     SpanTracer,
     StatusView,
     StragglerDetector,
-    critical_path_from_spans,
     derive_span_id,
     derive_trace_id,
     spans_from_events,
@@ -41,13 +45,16 @@ from repro.observe import (
     write_perfetto_trace,
 )
 from repro.observe import trace as trace_mod
-from repro.observe.analysis import attribute_makespan
+from repro.observe.analysis import BUCKETS, attribute_makespan
+from repro.resilience.blacklist import BlacklistPolicy
+from repro.resilience.faults import AttemptFault, Eviction, FaultPlan, StartFailure
 from repro.resilience.journal import Journal, recover
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator
 from repro.sim.failures import FailureModel
 from repro.sim.grid import GridConfig, OpportunisticGrid
 from repro.sim.rng import RngStreams
+from repro.wms.planner import PlannerOptions
 
 
 def chain_dag() -> Dag:
@@ -289,6 +296,127 @@ class TestContinuationLinks:
         ).run_root_span_id
 
 
+class SpanPath(NamedTuple):
+    makespan_s: float
+    buckets: dict[str, float]
+    path_jobs: list[str]
+
+
+def span_critical_path(spans) -> SpanPath:
+    """Test oracle: the makespan attribution re-derived from spans alone.
+
+    Walks the ``released_by`` links the scheduler stamped back from the
+    last-finishing attempt and tiles ``[first submit, last completion]``
+    into the five attribution buckets. It reads neither the DAG nor the
+    ``JobAttempt`` records, so agreeing with
+    :func:`~repro.observe.analysis.attribute_makespan` bucket for bucket
+    checks both. On a clean run the releasing parent is by definition
+    the latest-finishing one, which is the parent the DAG walk picks.
+    """
+    buckets = {b: 0.0 for b in BUCKETS}
+    attempts = [
+        s for s in spans
+        if s.kind == "attempt" and s.end is not None and "exec_end" in s.attributes
+    ]
+    if not attempts:
+        return SpanPath(0.0, buckets, [])
+    released_by = {
+        s.attributes["job"]: s.attributes["released_by"]
+        for s in spans
+        if s.kind == "job" and "released_by" in s.attributes
+    }
+    final: dict[str, Span] = {}
+    first_submit: dict[str, float] = {}
+    for s in attempts:
+        job = s.attributes["job"]
+        submit = s.attributes["submit_time"]
+        first_submit[job] = min(first_submit.get(job, submit), submit)
+        prior = final.get(job)
+        # Chronological, not by attempt number: rescue rounds restart
+        # the numbering at 1.
+        if prior is None or (submit, s.attributes["attempt"]) > (
+            prior.attributes["submit_time"], prior.attributes["attempt"]
+        ):
+            final[job] = s
+    start_s = min(first_submit.values())
+    end_s = max(s.attributes["exec_end"] for s in attempts)
+
+    chain = [max(
+        final.values(),
+        key=lambda s: (s.attributes["exec_end"], s.attributes["job"]),
+    )]
+    seen = {chain[0].attributes["job"]}
+    while True:
+        parent = released_by.get(chain[-1].attributes["job"])
+        if parent is None or parent in seen or parent not in final:
+            break
+        seen.add(parent)
+        chain.append(final[parent])
+    chain.reverse()
+
+    cursor = start_s
+
+    def tile(until: float, bucket: str) -> None:
+        nonlocal cursor
+        capped = min(until, end_s)
+        if capped > cursor + 1e-9:
+            buckets[bucket] += capped - cursor
+            cursor = capped
+
+    for s in chain:
+        tile(first_submit[s.attributes["job"]], "idle")
+        tile(s.attributes["submit_time"], "retry_lost")
+        tile(s.attributes["setup_start"], "waiting")
+        tile(s.attributes["exec_start"], "setup")
+        tile(s.attributes["exec_end"], "exec")
+    tile(end_s, "idle")
+    return SpanPath(
+        end_s - start_s, buckets, [s.attributes["job"] for s in chain]
+    )
+
+
+def assert_oracle_agrees(spans, trace, dag, label) -> None:
+    cp = span_critical_path(spans)
+    at = attribute_makespan(trace, dag)
+    # exact tiling: the buckets sum to the makespan
+    assert abs(sum(cp.buckets.values()) - cp.makespan_s) < 1e-6
+    assert abs(cp.makespan_s - at.makespan_s) < 1e-6
+    tolerance = max(1e-6, 0.001 * at.makespan_s)
+    for bucket, value in at.buckets.items():
+        assert abs(cp.buckets[bucket] - value) < tolerance, (
+            f"{label}: bucket {bucket} spans={cp.buckets[bucket]}"
+            f" attribution={value}"
+        )
+
+
+def two_round_run(bus=None):
+    """A real rescue-DAG run: ``concat_final`` fails both attempts of
+    round 1 and succeeds as attempt 1 of round 2."""
+    return simulate_paper_run_with_recovery(
+        12, "sandhills", seed=0, bus=bus,
+        fault_plan=FaultPlan(
+            (AttemptFault("concat_final", occurrences=(1, 2)),)
+        ),
+        planner_options=PlannerOptions(retries=1),
+        max_rounds=3,
+    )
+
+
+def _seeded_run(name, bus):
+    if name == "recovery":
+        return two_round_run(bus)
+    if name == "osg-chaos":
+        # repro-run --chaos-start-failure 0.1 --chaos-eviction-rate
+        # 0.0002 --blacklist-threshold 2 --blacklist-cooldown 900
+        return simulate_paper_run_with_recovery(
+            300, "osg", seed=3, bus=bus,
+            fault_plan=FaultPlan((StartFailure(0.1), Eviction(0.0002))),
+            blacklist_policy=BlacklistPolicy(threshold=2, cooldown_s=900.0),
+            max_rounds=1,
+        )
+    return simulate_paper_run(300, name, seed=3, bus=bus)
+
+
 class TestCriticalPathTiling:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=50))
@@ -299,24 +427,42 @@ class TestCriticalPathTiling:
             12, "osg", seed=seed, bus=bus
         )
         assert result.success
-        cp = critical_path_from_spans(tracer.finish())
-        at = attribute_makespan(result.trace, planned.dag)
-        # exact tiling: the buckets sum to the makespan
-        assert abs(sum(cp.buckets.values()) - cp.makespan_s) < 1e-6
-        assert abs(cp.makespan_s - at.makespan_s) < 1e-6
-        tolerance = max(1e-6, 0.001 * at.makespan_s)
-        for bucket, value in at.buckets.items():
-            assert abs(cp.buckets[bucket] - value) < tolerance, (
-                f"seed {seed}: bucket {bucket} spans={cp.buckets[bucket]}"
-                f" attribution={value}"
-            )
+        assert_oracle_agrees(
+            tracer.finish(), result.trace, planned.dag, f"seed {seed}"
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["sandhills", "osg", "cloud", "osg-chaos", "recovery"]
+    )
+    def test_span_oracle_matches_attribution(self, name):
+        bus = EventBus()
+        tracer = SpanTracer(bus=bus)
+        outcome, planned = _seeded_run(name, bus)
+        if name == "recovery":
+            assert len(outcome.rounds) >= 2
+        assert_oracle_agrees(tracer.finish(), outcome.trace, planned.dag, name)
+
+    def test_two_round_recovery_attributes_the_last_round(self):
+        outcome, planned = two_round_run()
+        assert outcome.success and len(outcome.rounds) == 2
+        at = attribute_makespan(outcome.trace, planned.dag)
+        assert abs(sum(at.buckets.values()) - at.makespan_s) < 1e-6
+        assert "concat_final" in at.path_jobs
+        final = outcome.trace.final_attempts()
+        # The run succeeded, so every job's last attempt is its success.
+        assert all(a.status.is_success for a in final.values())
+        for seg in at.segments:
+            if seg.job_name is not None:
+                assert seg.attempt == final[seg.job_name].attempt
+                assert seg.end <= final[seg.job_name].exec_end + 1e-9
+        # The path reaches the last completion without a trailing gap.
+        assert at.segments[-1].bucket == "exec"
+        assert at.segments[-1].end == at.end_s
 
     def test_empty_spans_give_zero_path(self):
-        cp = critical_path_from_spans([])
+        cp = span_critical_path([])
         assert cp.makespan_s == 0.0
-        assert set(cp.buckets) == {
-            "waiting", "setup", "exec", "retry_lost", "idle"
-        }
+        assert set(cp.buckets) == set(BUCKETS)
         assert all(v == 0.0 for v in cp.buckets.values())
 
 

@@ -136,6 +136,23 @@ class TestPaperScaleCloud:
         assert env.billed_cost() > 0
         assert env.instance_seconds() > 0
 
+    def test_environment_map_does_not_outlive_results(self):
+        from repro.core import workflow_factory
+        from repro.core.workflow_factory import (
+            simulate_paper_run_with_recovery,
+        )
+
+        envs = workflow_factory._LAST_ENVIRONMENTS
+        before = set(envs)
+        for seed in range(6):
+            simulate_paper_run(20, "osg", seed=seed)
+            simulate_paper_run_with_recovery(12, "cloud", seed=seed)
+        # Every result above was dropped on the spot, and its entry too.
+        assert set(envs) == before
+        live, _ = simulate_paper_run(20, "cloud", seed=1)
+        assert isinstance(environment_for(live), CloudPlatform)
+        assert set(envs) == before | {id(live)}
+
     def test_cloud_competitive_with_sandhills(self):
         cloud, _ = simulate_paper_run(300, "cloud", seed=1)
         campus, _ = simulate_paper_run(300, "sandhills", seed=1)

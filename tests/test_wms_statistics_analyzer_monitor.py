@@ -1,20 +1,25 @@
 """Tests for statistics, analyzer, and the JSONL trace log."""
 
+import json
+
 import pytest
 
 from repro.dagman.dag import Dag, DagJob
-from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
+from repro.dagman.events import (
+    JobAttempt,
+    JobStatus,
+    ResourceProfile,
+    WorkflowTrace,
+)
 from repro.dagman.scheduler import DagmanResult, DagmanScheduler, NodeState
 from repro.sim.cluster import CampusCluster
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.wms.analyzer import analyze, render_analysis
-from repro.wms.monitor import (
-    append_attempt,
-    progress_line,
-    read_trace,
-    write_trace,
-)
+from repro.observe.bus import EventBus
+from repro.observe.events import attempt_events
+from repro.observe.log import EventLogWriter
+from repro.wms.monitor import progress_line, read_trace, write_trace
 from repro.wms.statistics import per_transformation, render_report, summarize
 
 
@@ -155,11 +160,38 @@ class TestMonitor:
         )
         assert read_trace(path).attempts[0].error == "stack trace"
 
-    def test_append(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        append_attempt(path, attempt("a"))
-        append_attempt(path, attempt("b"))
-        assert len(read_trace(path)) == 2
+    def test_event_log_appends(self, tmp_path):
+        # Each writer appends: a second session extends the log, and
+        # read_trace recovers the attempts of both.
+        path = tmp_path / "events.jsonl"
+        for name in ("a", "b"):
+            bus = EventBus()
+            with EventLogWriter(path, bus):
+                bus.emit_batch(attempt_events(attempt(name)))
+        assert [a.job_name for a in read_trace(path)] == ["a", "b"]
+
+    def test_attempt_codec_round_trip(self):
+        full = JobAttempt(
+            job_name="j", transformation="t", site="osg", machine="m",
+            attempt=2, submit_time=0.0, setup_start=1.0, exec_start=2.5,
+            exec_end=4.0, status=JobStatus.FAILED, error="boom",
+            profile=ResourceProfile(cpu_user_s=1.5, max_rss_kb=64,
+                                    source="modelled"),
+        )
+        for a in (full, attempt("plain")):
+            assert JobAttempt.from_json(a.to_json()) == a
+        # Key order is part of the trace.jsonl format.
+        assert list(full.to_json()) == [
+            "job_name", "transformation", "site", "machine", "attempt",
+            "submit_time", "setup_start", "exec_start", "exec_end",
+            "status", "error", "profile",
+        ]
+        assert json.dumps(attempt("plain").to_json()) == (
+            '{"job_name": "plain", "transformation": "run_cap3", '
+            '"site": "osg", "machine": "m1", "attempt": 1, '
+            '"submit_time": 0.0, "setup_start": 50.0, "exec_start": 470.0, '
+            '"exec_end": 3000.0, "status": "succeeded"}'
+        )
 
     def test_progress_line(self):
         line = progress_line(sample_trace(), total_jobs=10)
